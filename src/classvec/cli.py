@@ -31,7 +31,7 @@ from .pipeline import (
 )
 from .synthdata import GeneratorSpec, generate
 from .taxonomy import ICTable
-from .util import THREADS_ENV_VAR, sha256_file
+from .util import sha256_file
 
 PROG = "classvec"
 RUN_MANIFEST_NAME = "run_manifest.json"
@@ -377,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Class-level embeddings from sparse layered activation vectors.",
-        epilog=f"Set {THREADS_ENV_VAR} to parallelize per-class and per-row work.",
     )
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)

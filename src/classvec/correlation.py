@@ -25,8 +25,8 @@ from .taxonomy import (
     ICTable,
     Taxonomy,
     similarity,
+    similarity_matrices,
 )
-from .util import parallel_map
 from .vectors import LayerManifest, restrict_to_groups
 
 GRAPH_MEASURES = ("path", "lch", "wup")
@@ -157,9 +157,7 @@ def evaluate_class(
     descending; the vector side uses 1 - distance. ``class_to_synset`` maps
     matrix labels to synsets and defaults to the identity.
     """
-    n = dmatrix.size
-    if n < 3:
-        raise CorrelationError(f"need at least 3 classes to correlate, got {n}")
+    _require_three_classes(dmatrix.size)
     row = dmatrix.row(class_id)
     idx = dmatrix.index_of(class_id)
 
@@ -177,6 +175,20 @@ def evaluate_class(
     return spearman_rho(visual, lexical)
 
 
+def _require_three_classes(n: int) -> None:
+    if n < 3:
+        raise CorrelationError(f"need at least 3 classes to correlate, got {n}")
+
+
+def _class_rhos(dmatrix: DistanceMatrix, lexical: np.ndarray) -> list[float]:
+    """evaluate_class for every row at once, given the taxonomy similarity
+    of every pair: each row leaves out the class's own column."""
+    return [
+        spearman_rho(1.0 - np.delete(row, i), np.delete(lex, i))
+        for i, (row, lex) in enumerate(zip(dmatrix.values, lexical))
+    ]
+
+
 def evaluate_all(
     dmatrix: DistanceMatrix,
     taxonomy: Taxonomy,
@@ -189,7 +201,8 @@ def evaluate_all(
     once per corpus in ``ics`` (corpora in sorted order).
 
     Default measures are all six when IC tables are supplied, otherwise the
-    three graph measures.
+    three graph measures. Each setting gives the same rhos as evaluate_class
+    on every class, from one matrix of taxonomy similarities over all pairs.
     """
     ics = dict(ics) if ics else {}
     if measures is None:
@@ -209,17 +222,18 @@ def evaluate_all(
                 f"unknown measure {measure!r}; choose from {SIMILARITY_MEASURES}"
             )
 
-    out = []
-    for measure, corpus in settings:
-        table = ics[corpus] if corpus is not None else None
-        rhos = parallel_map(
-            lambda cid: evaluate_class(
-                cid, dmatrix, measure, taxonomy, ic=table, class_to_synset=class_to_synset
-            ),
-            dmatrix.labels,
-        )
-        out.append(RhoDistribution(measure, corpus, dmatrix.labels, rhos))
-    return out
+    _require_three_classes(dmatrix.size)
+    labels = dmatrix.labels
+    synsets = [class_to_synset[c] for c in labels] if class_to_synset is not None else labels
+    lexical = similarity_matrices(
+        taxonomy,
+        synsets,
+        [(measure, ics[corpus] if corpus is not None else None) for measure, corpus in settings],
+    )
+    return [
+        RhoDistribution(measure, corpus, labels, _class_rhos(dmatrix, next(lexical)))
+        for measure, corpus in settings
+    ]
 
 
 class SweepEntry:
@@ -253,7 +267,8 @@ def layer_subset_sweep(
 
     ``None`` in ``group_sets`` means no restriction (labelled "all").
     Restriction is the final pipeline stage, so the unrestricted embeddings
-    are built once and filtered per entry.
+    are built once and filtered per entry; the taxonomy side does not change
+    between entries and is computed once.
     """
     if not group_sets:
         raise ValidationError("group_sets must name at least one subset")
@@ -265,6 +280,10 @@ def layer_subset_sweep(
         groups=None,
     )
     unrestricted = build_class_embeddings(list(records), base_config, class_map, manifest)
+    _require_three_classes(len(unrestricted))
+    # rows in build_distance_matrix's order, which sorts by class_id
+    labels = sorted(e.class_id for e in unrestricted)
+    (lexical,) = similarity_matrices(taxonomy, [class_map[c] for c in labels], [(measure, ic)])
     entries = []
     for groups in group_sets:
         if groups is None:
@@ -284,12 +303,6 @@ def layer_subset_sweep(
                 )
                 for e in unrestricted
             ]
-        dmatrix = build_distance_matrix(embeddings, metric)
-        rhos = [
-            evaluate_class(
-                cid, dmatrix, measure, taxonomy, ic=ic, class_to_synset=class_map
-            )
-            for cid in dmatrix.labels
-        ]
+        rhos = _class_rhos(build_distance_matrix(embeddings, metric), lexical)
         entries.append(SweepEntry(label, cfg_groups, float(np.mean(rhos)), len(rhos)))
     return entries

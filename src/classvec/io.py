@@ -11,6 +11,7 @@ CSV matrix cells, which carry 9 significant digits.
 from __future__ import annotations
 
 import csv
+import html
 import math
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -481,12 +482,15 @@ def write_scatter_svg(
         fill = shade_of.get(label, DEFAULT_SHADE)
         lines.append(
             f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="{point_radius:g}" fill="{fill}">'
-            f"<title>{label}</title></circle>"
+            f"<title>{html.escape(label, quote=False)}</title></circle>"
         )
     for i, (name, shade) in enumerate(legend):
         ly = 20 + 18 * i
         lines.append(f'<circle cx="16" cy="{ly}" r="5" fill="{shade}"/>')
-        lines.append(f'<text x="28" y="{ly + 4}" font-size="13" fill="#333333">{name}</text>')
+        lines.append(
+            f'<text x="28" y="{ly + 4}" font-size="13" fill="#333333">'
+            f"{html.escape(name, quote=False)}</text>"
+        )
     lines.append("</svg>")
     with _open_write(path) as fh:
         fh.write("\n".join(lines) + "\n")

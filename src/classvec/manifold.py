@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ClassVecError, DisconnectedGraphError, ValidationError
-from .util import parallel_map
 
 SYMMETRY_TOL = 1e-12
 EIGEN_RESIDUAL_TOL = 1e-9
@@ -297,14 +296,15 @@ def _dijkstra(adjacency, source: int, n: int) -> list[float]:
 def geodesic_matrix(graph: NeighborGraph) -> DistanceMatrix:
     """All-pairs shortest path distances via one Dijkstra pass per source.
 
-    Sources are independent and run through the shared worker pool. The
-    result mirrors the upper triangle so it is exactly symmetric. Raises
+    The result mirrors the upper triangle so it is exactly symmetric. Raises
     DisconnectedGraphError when any pair is unreachable.
     """
     n = graph.size
     adjacency = graph.adjacency
-    rows = parallel_map(lambda s: _dijkstra(adjacency, s, n), range(n))
-    mat = np.array(rows, dtype=np.float64)
+    # one row at a time: n lists of n Python floats would cost ~4x the matrix
+    mat = np.empty((n, n), dtype=np.float64)
+    for s in range(n):
+        mat[s] = _dijkstra(adjacency, s, n)
     if not np.all(np.isfinite(mat)):
         sizes = sorted((len(c) for c in graph.components()), reverse=True)
         raise DisconnectedGraphError(sizes)

@@ -20,7 +20,6 @@ from .errors import (
     ValidationError,
 )
 from .manifold import DistanceMatrix
-from .util import parallel_map
 from .vectors import (
     LayerManifest,
     SparseActivationVector,
@@ -233,7 +232,7 @@ def build_class_embeddings(
             image_count=len(images),
         )
 
-    return parallel_map(finish, sorted(by_class))
+    return [finish(class_id) for class_id in sorted(by_class)]
 
 
 def build_distance_matrix(
@@ -261,12 +260,8 @@ def build_distance_matrix(
     else:
         pair = euclidean_distance
 
-    def row_tail(i: int) -> list[float]:
-        return [pair(vectors[i], vectors[j]) for j in range(i + 1, n)]
-
-    tails = parallel_map(row_tail, range(n))
     vals = np.zeros((n, n))
-    for i, tail in enumerate(tails):
-        vals[i, i + 1 :] = tail
+    for i in range(n):
+        vals[i, i + 1 :] = [pair(vectors[i], vectors[j]) for j in range(i + 1, n)]
     vals = vals + vals.T
     return DistanceMatrix(labels, vals)

@@ -4,14 +4,18 @@ The hierarchy is a single-rooted DAG: every non-root synset has one or more
 parents and the root has none. Depth counts nodes from the root (root depth
 is 1) and multi-parent nodes take the minimum over their parents. Three
 measures need only the graph (path, lch, wup); three weigh concepts by
-corpus information content (res, jcn, lin).
+corpus information content (res, jcn, lin). ``similarity`` scores one pair;
+``similarity_matrices`` scores every pair of a synset list at once, with the
+same bits.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import TaxonomyError, UnknownSynsetError, ValidationError
 
@@ -273,6 +277,13 @@ _GRAPH_MEASURES = {"path": path_sim, "lch": lch_sim, "wup": wup_sim}
 _IC_MEASURES = {"res": res_sim, "jcn": jcn_sim, "lin": lin_sim}
 
 
+def _check_measure(measure: str, ic: ICTable | None) -> None:
+    if measure in _IC_MEASURES and ic is None:
+        raise ValidationError(f"measure {measure!r} needs an information content table")
+    if measure not in _GRAPH_MEASURES and measure not in _IC_MEASURES:
+        raise ValidationError(f"unknown measure {measure!r}; choose from {SIMILARITY_MEASURES}")
+
+
 def similarity(
     taxonomy: Taxonomy,
     measure: str,
@@ -281,10 +292,105 @@ def similarity(
     ic: ICTable | None = None,
 ) -> float:
     """Dispatch one of the six measures by name; ic ones require an ICTable."""
+    _check_measure(measure, ic)
     if measure in _GRAPH_MEASURES:
         return _GRAPH_MEASURES[measure](taxonomy, a, b)
-    if measure in _IC_MEASURES:
-        if ic is None:
-            raise ValidationError(f"measure {measure!r} needs an information content table")
-        return _IC_MEASURES[measure](taxonomy, a, b, ic)
-    raise ValidationError(f"unknown measure {measure!r}; choose from {SIMILARITY_MEASURES}")
+    return _IC_MEASURES[measure](taxonomy, a, b, ic)
+
+
+def similarity_matrices(
+    taxonomy: Taxonomy,
+    synsets: Sequence[str],
+    settings: Iterable[tuple[str, ICTable | None]],
+) -> Iterator[np.ndarray]:
+    """Yield, per (measure, ic) setting in turn, the n x n matrix whose [i, j]
+    is similarity(taxonomy, measure, synsets[i], synsets[j], ic), bit for bit.
+
+    Two int32 tables over all pairs are built once: the shortest connecting
+    path length, and the rank of the deepest common subsumer in
+    (-depth, synset_id) order, which is the tie rule of Taxonomy.lcs. Every
+    measure is then an elementwise formula over the tables that repeats the
+    float operations of its *_sim function. Only the matrix being yielded is
+    held, so a caller that drops each one before asking for the next keeps
+    one float matrix alive at a time.
+    """
+    settings = list(settings)
+    for measure, ic in settings:
+        _check_measure(measure, ic)
+    synsets = [taxonomy._require(s) for s in synsets]
+    path_len, lcs_rank, ranked = _pair_tables(taxonomy, synsets)
+    for measure, ic in settings:
+        yield _measure_matrix(taxonomy, measure, ic, synsets, path_len, lcs_rank, ranked)
+
+
+def _pair_tables(
+    taxonomy: Taxonomy, synsets: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """path_len and lcs_rank over every pair of ``synsets``, and the ranked
+    shared ancestors that lcs_rank indexes.
+
+    Both cells are minima over the pair's shared ancestors, so each ancestor
+    updates the block of rows below it: sum over ancestors of |below|^2 cells.
+    """
+    below: dict[str, tuple[list[int], list[int]]] = {}
+    for row, synset in enumerate(synsets):
+        for ancestor, dist in taxonomy._updist[synset].items():
+            rows, dists = below.setdefault(ancestor, ([], []))
+            rows.append(row)
+            dists.append(dist)
+    ranked = sorted(below, key=lambda s: (-taxonomy._depth[s], s))
+    n = len(synsets)
+    path_len = np.full((n, n), np.iinfo(np.int32).max, dtype=np.int32)
+    lcs_rank = np.empty((n, n), dtype=np.int32)
+    # Highest rank first, so the rank a pair keeps is its smallest. The root
+    # has the highest rank and sits above every row, so it fills both tables.
+    for rank in range(len(ranked) - 1, -1, -1):
+        rows, dists = below[ranked[rank]]
+        up = np.array(dists, dtype=np.int32)
+        block = np.ix_(rows, rows)
+        path_len[block] = np.minimum(path_len[block], up[:, None] + up[None, :])
+        lcs_rank[block] = rank
+    return path_len, lcs_rank, ranked
+
+
+def _measure_matrix(
+    taxonomy: Taxonomy,
+    measure: str,
+    ic: ICTable | None,
+    synsets: Sequence[str],
+    path_len: np.ndarray,
+    lcs_rank: np.ndarray,
+    ranked: Sequence[str],
+) -> np.ndarray:
+    """One measure over all pairs, in the float operations of its *_sim."""
+    if measure == "path":
+        return 1.0 / (1.0 + path_len)
+    if measure == "lch":
+        # math.log per distinct length: np.log may differ from it in the last bit
+        lookup = np.array(
+            [
+                -math.log((length + 1) / (2.0 * taxonomy.max_depth))
+                for length in range(int(path_len.max()) + 1)
+            ]
+        )
+        return lookup[path_len]
+    if measure == "wup":
+        lcs_depth = np.array([taxonomy._depth[s] for s in ranked])
+        depth = np.array([taxonomy._depth[s] for s in synsets])
+        return 2.0 * lcs_depth[lcs_rank] / (depth[:, None] + depth[None, :])
+
+    res = np.array([ic._ic.get(s, math.nan) for s in ranked])[lcs_rank]
+    missing = lcs_rank[np.isnan(res)]
+    if missing.size:
+        raise UnknownSynsetError(f"synset {ranked[missing[0]]!r} missing from IC table")
+    if measure == "res":
+        return res
+    own = np.array([ic.ic(s) for s in synsets])
+    ic_sum = own[:, None] + own[None, :]
+    # inf - inf and inf / inf give nan here exactly as in the scalar code
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if measure == "jcn":
+            return 1.0 / np.maximum(ic_sum - 2.0 * res, JCN_MIN_DISTANCE)
+        lin = 2.0 * res / ic_sum
+    lin[(res == 0.0) | np.isinf(ic_sum)] = 0.0
+    return lin

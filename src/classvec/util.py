@@ -1,36 +1,8 @@
-"""Small shared helpers: hashing and optional thread-pool mapping."""
+"""Small shared helpers."""
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV_VAR = "CLASSVEC_THREADS"
-
-
-def thread_count() -> int:
-    """Worker count from the environment, default 1 (sequential)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map ``fn`` over ``items`` preserving order.
-
-    Runs sequentially unless CLASSVEC_THREADS asks for more workers. Results
-    are returned in input order either way, so callers stay deterministic.
-    """
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def sha256_file(path) -> str:

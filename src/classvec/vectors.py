@@ -137,16 +137,28 @@ class LayerManifest:
         return f"LayerManifest({self.describe()})"
 
 
+def _as_indices(layer_id: str, raw) -> np.ndarray:
+    """Feature indices as int64; indices given as floats must be whole numbers."""
+    idx = np.asarray(raw)
+    if idx.dtype.kind not in "iu":
+        as_float = idx.astype(np.float64)
+        whole = np.isfinite(as_float) & (as_float == np.trunc(as_float))
+        if not whole.all():
+            bad = as_float[~whole][0]
+            raise ValidationError(f"layer {layer_id!r}: feature index {bad} is not an integer")
+    return idx.astype(np.int64, copy=False)
+
+
 def _coerce_layer(layer_id: str, dim: int, raw) -> tuple[np.ndarray, np.ndarray]:
     """Normalize one layer's entries to sorted, validated index/value arrays."""
     if isinstance(raw, tuple) and len(raw) == 2 and not np.isscalar(raw[0]):
-        idx = np.asarray(raw[0], dtype=np.int64)
+        idx = _as_indices(layer_id, raw[0])
         val = np.asarray(raw[1], dtype=np.float64)
         if idx.shape != val.shape:
             raise ValidationError(f"layer {layer_id!r}: index/value arrays differ in length")
     else:
         pairs = list(raw)
-        idx = np.asarray([p[0] for p in pairs], dtype=np.int64)
+        idx = _as_indices(layer_id, [p[0] for p in pairs])
         val = np.asarray([p[1] for p in pairs], dtype=np.float64)
     if idx.size == 0:
         return idx, val

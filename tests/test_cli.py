@@ -1,7 +1,6 @@
 """CLI behavior: exit codes, artifacts, stream discipline, reproducible reruns."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -443,17 +442,3 @@ def test_module_entrypoint_runs_in_subprocess(tmp_path):
     assert result.stdout == ""
     assert (tmp_path / "g" / "activations.tsv").exists()
 
-
-def test_thread_count_does_not_change_bytes(dataset, built, tmp_path):
-    env = dict(os.environ, CLASSVEC_THREADS="4")
-    out = tmp_path / "threaded"
-    result = subprocess.run(
-        [sys.executable, "-m", "classvec", "build",
-         "--activations", str(dataset / "activations.tsv"),
-         "--manifest", str(dataset / "manifest.tsv"),
-         "--class-map", str(dataset / "class_map.tsv"),
-         "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
-    assert result.returncode == 0
-    assert read_tree(out) == read_tree(built)

@@ -17,8 +17,10 @@ from classvec.correlation import (
 from classvec.errors import CorrelationError, ValidationError
 from classvec.manifold import DistanceMatrix
 from classvec.pipeline import ClassEmbedding, PipelineConfig, build_distance_matrix
-from classvec.taxonomy import ICTable, Taxonomy
+from classvec.taxonomy import SIMILARITY_MEASURES, ICTable, Taxonomy
 from classvec.vectors import LayerManifest, SparseActivationVector
+
+from helpers import random_dag_edges
 
 Rec = namedtuple("Rec", "image_id class_id vector")
 
@@ -245,10 +247,37 @@ class TestEvaluateAll:
 
     def test_matches_per_class_recomputation(self, zoo):
         d = self.make_matrix(zoo)
-        (dist,) = evaluate_all(d, zoo, measures=["path"])
-        for cid, rho in zip(dist.class_ids, dist.rhos):
-            assert rho == evaluate_class(cid, d, "path", zoo)
-        assert dist.mean == pytest.approx(float(np.mean(dist.rhos)), abs=0)
+        counts = {"dog": 5, "cat": 3, "wolf": 4, "car": 2, "truck": 1}
+        ics = {"brown": ICTable.from_counts(zoo, counts)}
+        dists = evaluate_all(d, zoo, ics=ics)
+        assert [x.measure for x in dists] == list(SIMILARITY_MEASURES)
+        for dist in dists:
+            table = ics[dist.corpus] if dist.corpus is not None else None
+            want = [evaluate_class(c, d, dist.measure, zoo, ic=table) for c in dist.class_ids]
+            assert dist.rhos.tobytes() == np.array(want).tobytes(), dist.label
+            assert dist.mean == pytest.approx(float(np.mean(dist.rhos)), abs=0)
+
+    def test_random_dag_matches_per_class_recomputation(self):
+        rng = np.random.default_rng(457)
+        taxonomy = Taxonomy(random_dag_edges(rng, 40, 12))
+        names = taxonomy.synsets
+        labels = [f"k{i:02d}" for i in range(18)]
+        cmap = {lab: names[int(rng.integers(1, len(names)))] for lab in labels}
+        cmap["k00"] = cmap["k01"]  # two labels on one synset
+        counts = {s: int(c) for s, c in zip(names, rng.integers(1, 6, size=len(names)))}
+        ic = ICTable.from_counts(taxonomy, counts)
+        d = matrix_from_coords({lab: rng.random(3) for lab in labels})
+        for dist in evaluate_all(d, taxonomy, ics={"c": ic}, class_to_synset=cmap):
+            want = [
+                evaluate_class(c, d, dist.measure, taxonomy, ic=ic, class_to_synset=cmap)
+                for c in dist.class_ids
+            ]
+            assert dist.rhos.tobytes() == np.array(want).tobytes(), dist.label
+
+    def test_needs_three_classes(self, zoo):
+        d = DistanceMatrix(["cat", "dog"], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(CorrelationError, match="at least 3"):
+            evaluate_all(d, zoo)
 
     def test_histogram_totals(self, zoo):
         d = self.make_matrix(zoo)

@@ -11,6 +11,7 @@ import classvec.io as cvio
 from classvec import (
     ClassEmbedding,
     DistanceMatrix,
+    EmbeddingCoordinates,
     EquationResult,
     FormatError,
     LayerManifest,
@@ -481,6 +482,22 @@ def test_scatter_svg_preserves_distance_ratios(tmp_path):
         return d01 / d02
 
     assert ratio(svg_xy) == pytest.approx(ratio(coords.coords), abs=2e-2)
+
+
+def test_scatter_svg_escapes_labels_and_legend(tmp_path):
+    coords = coords_fixture()
+    labels = ["a<b&c", *coords.labels[1:]]
+    odd = EmbeddingCoordinates(labels, coords.coords, coords.eigenvalues)
+    p = tmp_path / "plot.svg"
+    cvio.write_scatter_svg(odd, {"x&y": ["a<b&c"]}, p)
+    root, circles = svg_circles_with_titles(p)
+    assert set(circles) == set(labels)
+    assert circles["a<b&c"].get("fill") == "#000000"
+    legend = root.find("{http://www.w3.org/2000/svg}text")
+    assert legend.text == "x&y"
+    # plain ids are written as they are
+    text = p.read_text(encoding="utf-8")
+    assert all(f"<title>{label}</title>" in text for label in labels[1:])
 
 
 def test_scatter_svg_rejects_non_2d(tmp_path):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classvec.errors import TaxonomyError, UnknownSynsetError, ValidationError
 from classvec.taxonomy import (
@@ -17,6 +19,7 @@ from classvec.taxonomy import (
     path_sim,
     res_sim,
     similarity,
+    similarity_matrices,
     wup_sim,
 )
 
@@ -265,3 +268,77 @@ class TestDispatch:
     def test_unknown_measure_rejected(self, zoo):
         with pytest.raises(ValidationError, match="unknown measure"):
             similarity(zoo, "cosine", "dog", "cat")
+
+
+def assert_matrices_match_pairs(taxonomy, synsets, ic):
+    """Every measure's matrix equals per-pair similarity() bit for bit."""
+    matrices = similarity_matrices(taxonomy, synsets, [(m, ic) for m in SIMILARITY_MEASURES])
+    for measure, matrix in zip(SIMILARITY_MEASURES, matrices):
+        want = np.array(
+            [[similarity(taxonomy, measure, a, b, ic=ic) for b in synsets] for a in synsets]
+        )
+        assert matrix.dtype == np.float64 and matrix.shape == want.shape
+        assert matrix.tobytes() == want.tobytes(), measure
+
+
+class TestSimilarityMatrices:
+    # depth(z) = 3 but its ancestor w has depth 4, so lcs(z, z) is w, not z;
+    # x and y share the depth-2 ancestors a and b, a depth tie won by "a"
+    TIE_EDGES = [
+        ("a", "root"),
+        ("b", "root"),
+        ("x", "a"),
+        ("x", "b"),
+        ("y", "a"),
+        ("y", "b"),
+        ("w", "x"),
+        ("z", "w"),
+        ("z", "a"),
+        ("leaf", "y"),
+    ]
+
+    def test_depth_ties_deep_ancestors_and_shared_synsets(self):
+        t = Taxonomy(self.TIE_EDGES)
+        assert t.lcs("x", "y") == "a"
+        assert t.lcs("z", "z") == "w"
+        ic = ICTable.from_counts(t, {"w": 2, "y": 1, "leaf": 3, "b": 1})
+        synsets = ["z", "x", "leaf", "y", "z", "root", "w", "b"]
+        assert_matrices_match_pairs(t, synsets, ic)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nodes=st.integers(2, 30),
+        dag=st.booleans(),
+        classes=st.integers(1, 12),
+    )
+    def test_random_hierarchies_match_pairs(self, seed, nodes, dag, classes):
+        rng = np.random.default_rng(seed)
+        if dag and nodes >= 6:
+            edges = random_dag_edges(rng, nodes, int(rng.integers(1, nodes // 3 + 1)))
+        else:
+            edges = random_tree_edges(rng, nodes)
+        t = Taxonomy(edges)
+        names = t.synsets
+        # repeats: two class labels may share one synset
+        synsets = [names[i] for i in rng.integers(0, len(names), size=classes)]
+        # zero counts leave whole subtrees at infinite ic
+        counts = {s: int(c) for s, c in zip(names, rng.integers(0, 4, size=len(names)))}
+        counts[t.root] += 1
+        assert_matrices_match_pairs(t, synsets, ICTable.from_counts(t, counts))
+
+    def test_setting_errors_match_similarity(self, zoo, zoo_ic):
+        with pytest.raises(ValidationError, match="information content"):
+            list(similarity_matrices(zoo, ["dog", "cat"], [("res", None)]))
+        with pytest.raises(ValidationError, match="unknown measure"):
+            list(similarity_matrices(zoo, ["dog", "cat"], [("cosine", zoo_ic)]))
+        with pytest.raises(UnknownSynsetError):
+            list(similarity_matrices(zoo, ["dog", "unicorn"], [("path", None)]))
+
+    def test_ic_table_missing_an_lcs_raises(self, zoo):
+        partial = ICTable({"root": 10, "dog": 5, "cat": 3, "car": 2})
+        with pytest.raises(UnknownSynsetError, match="animal"):
+            list(similarity_matrices(zoo, ["dog", "cat"], [("res", partial)]))
+        assert similarity(zoo, "res", "dog", "car", ic=partial) == 0.0
+        (res,) = similarity_matrices(zoo, ["dog", "car"], [("res", partial)])
+        assert res[0, 1] == 0.0

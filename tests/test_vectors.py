@@ -125,6 +125,21 @@ class TestConstruction:
         assert idx.tolist() == [3, 7]
         assert val.tolist() == [1.5, 0.5]
 
+    def test_non_integral_index_rejected(self):
+        m = LayerManifest([("L", "g", 4)])
+        # two pairs in a tuple read as (indices, values): index 0.5 is refused
+        with pytest.raises(ValidationError, match="not an integer"):
+            SparseActivationVector(m, {"L": ((1, 0.5), (2, 0.3))})
+        with pytest.raises(ValidationError, match="not an integer"):
+            SparseActivationVector(m, {"L": [(1.5, 1.0)]})
+        with pytest.raises(ValidationError, match="not an integer"):
+            SparseActivationVector(m, {"L": (np.array([np.nan]), np.array([1.0]))})
+
+    def test_whole_float_indices_accepted(self):
+        m = LayerManifest([("L", "g", 4)])
+        v = SparseActivationVector(m, {"L": (np.array([3.0, 1.0]), np.array([0.5, 0.25]))})
+        assert v == SparseActivationVector(m, {"L": ([3, 1], [0.5, 0.25])})
+
     def test_silent_layer_reads_empty(self):
         v = SparseActivationVector(small_manifest(), {})
         idx, val = v.layer("c1")
