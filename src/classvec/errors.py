@@ -52,12 +52,19 @@ class CorrelationError(ClassVecError):
 
 
 class DisconnectedGraphError(ClassVecError):
-    """Neighborhood graph split into several components."""
+    """Neighborhood graph split into several components.
 
-    def __init__(self, component_sizes):
+    ``connecting_k``, when known, is the smallest k_neighbors whose k-NN graph
+    over the same distances is connected.
+    """
+
+    def __init__(self, component_sizes, connecting_k: int | None = None):
         sizes = sorted(component_sizes, reverse=True)
-        super().__init__(
-            "neighborhood graph is disconnected; component sizes: "
-            + ", ".join(str(s) for s in sizes)
+        message = "neighborhood graph is disconnected; component sizes: " + ", ".join(
+            str(s) for s in sizes
         )
+        if connecting_k is not None:
+            message += f"; the smallest k_neighbors that connects it is {connecting_k}"
+        super().__init__(message)
         self.component_sizes = tuple(sizes)
+        self.connecting_k = connecting_k

@@ -277,6 +277,36 @@ def knn_graph(d: DistanceMatrix, k_neighbors: int) -> NeighborGraph:
     return NeighborGraph(d.labels, [sorted(a.items()) for a in adj])
 
 
+def _connecting_k(d: DistanceMatrix) -> int:
+    """Smallest k_neighbors whose knn_graph over ``d`` is connected.
+
+    Joins every point to its next-ranked neighbor (knn_graph's stable order,
+    skipping the point itself), one rank at a time, until one component is
+    left; the graphs only grow with k, so every larger k connects too.
+    """
+    n = d.size
+    order = np.argsort(d.values, axis=1, kind="stable")
+    ranked = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+    parent = list(range(n))
+
+    def root(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    parts = n
+    for k in range(n - 1):
+        for i, j in enumerate(ranked[:, k].tolist()):
+            ri, rj = root(i), root(j)
+            if ri != rj:
+                parent[ri] = rj
+                parts -= 1
+        if parts == 1:
+            return k + 1
+    return 1  # a single point
+
+
 def _dijkstra(adjacency, source: int, n: int) -> list[float]:
     dist = [math.inf] * n
     dist[source] = 0.0
@@ -321,7 +351,8 @@ def isomap(
 ) -> EmbeddingCoordinates:
     """Geodesic re-estimation over a k-NN graph followed by classical MDS.
 
-    A disconnected neighborhood graph raises DisconnectedGraphError unless
+    A disconnected neighborhood graph raises DisconnectedGraphError, which
+    names the smallest k_neighbors that would connect it, unless
     ``largest_component`` is set, in which case the embedding covers only
     the largest component (ties broken toward the lowest-index node) and a
     warning reports how many points were dropped.
@@ -332,7 +363,7 @@ def isomap(
     comps = graph.components()
     if len(comps) > 1:
         if not largest_component:
-            raise DisconnectedGraphError(sorted((len(c) for c in comps), reverse=True))
+            raise DisconnectedGraphError([len(c) for c in comps], _connecting_k(d))
         keep = max(comps, key=len)
         warnings.warn(
             f"neighborhood graph has {len(comps)} components; "

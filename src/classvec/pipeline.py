@@ -18,14 +18,17 @@ from .errors import (
     ManifestMismatchError,
     UnknownClassError,
     ValidationError,
+    ZeroVectorError,
 )
 from .manifold import DistanceMatrix
-from .vectors import (
+# cosine_similarity is not called here; perfbench/probes.py counts per-pair
+# cosines by wrapping the name classvec.pipeline.cosine_similarity
+from .vectors import (  # noqa: F401
     LayerManifest,
     SparseActivationVector,
     apply_threshold,
     cosine_similarity,
-    euclidean_distance,
+    layer_blocks,
     normalize_by_layer,
     normalize_whole,
     restrict_to_groups,
@@ -114,9 +117,9 @@ class ClassEmbedding:
 def aggregate(images: Sequence[SparseActivationVector], mode: str) -> SparseActivationVector:
     """Per-feature mean over all n images, counting absent entries as 0.
 
-    arithmetic: sum/n over the union of supports. geometric ((prod)^(1/n))
-    and harmonic (n/sum(1/v)) are zero wherever any image lacks the feature,
-    so their support is the intersection. A feature whose value is identical
+    arithmetic: sum/n over the union of supports. geometric ((prod)^(1/n),
+    taken as exp(mean(log v))) and harmonic (n/sum(1/v)) are zero wherever
+    any image lacks the feature, so their support is the intersection. A feature whose value is identical
     in every image keeps that exact value under all three modes.
     """
     if mode not in AGGREGATION_MODES:
@@ -159,9 +162,10 @@ def aggregate(images: Sequence[SparseActivationVector], mode: str) -> SparseActi
             mean = acc * inv_n
             keep = np.ones(uniq.size, dtype=bool)
         elif mode == "geometric":
-            acc = np.ones(uniq.size)
-            np.multiply.at(acc, inverse, cat_val)
-            mean = acc**inv_n
+            # in log space: the product of many images' values under- or overflows
+            acc = np.zeros(uniq.size)
+            np.add.at(acc, inverse, np.log(cat_val))
+            mean = np.exp(acc * inv_n)
             keep = counts == n
         else:
             acc = np.zeros(uniq.size)
@@ -194,9 +198,8 @@ def build_class_embeddings(
     """Run the full pipeline; one embedding per class, sorted by class_id.
 
     ``records`` yields objects with image_id, class_id and vector attributes.
-    Classes are processed independently (and concurrently when the worker
-    pool is sized above 1); within a class, images are sorted by image_id so
-    results do not depend on input order.
+    Classes are processed independently, one after another; within a class,
+    images are sorted by image_id so results do not depend on input order.
     """
     by_class: dict[str, dict[str, SparseActivationVector]] = {}
     for rec in records:
@@ -241,8 +244,13 @@ def build_distance_matrix(
     """Pairwise distances between class vectors, rows sorted by class_id.
 
     cosine distance is 1 - cosine_similarity and lies in [0, 1] for
-    non-negative vectors; each unordered pair is computed once and mirrored
-    so the matrix is exactly symmetric.
+    non-negative vectors; euclidean is euclidean_distance. Both come from one
+    pass over the vectors' layer_blocks: cosine from the summed inner
+    products, with the norms taken from their diagonal, and euclidean from
+    explicit differences, never from |a|^2 + |b|^2 - 2ab. The upper triangle
+    is mirrored, so the matrix is exactly symmetric with a zero diagonal, and
+    identical vectors are exactly 0 apart. Any zero vector under cosine
+    raises ZeroVectorError.
     """
     if metric not in DISTANCE_METRICS:
         raise ValidationError(f"metric must be one of {DISTANCE_METRICS}, got {metric!r}")
@@ -255,13 +263,29 @@ def build_distance_matrix(
     vectors = [e.vector for e in embeddings]
     n = len(vectors)
 
+    # Upper triangle: inner products (cosine) or squared distances (euclidean).
+    # Row i adds the terms at its own stored columns with einsum, so each cell
+    # sums its terms in one fixed order whatever the BLAS build or thread count.
+    acc = np.zeros((n, n))
+    for block in layer_blocks(vectors):
+        for i in range(n):
+            cols = np.flatnonzero(block[i])
+            if not cols.size:
+                continue
+            x = block[i, cols]
+            if metric == "cosine":
+                acc[i, i:] += np.einsum("jk,k->j", block[i:, cols], x)
+            else:
+                diff = block[i + 1 :, cols] - x
+                acc[i, i + 1 :] += np.einsum("jk,jk->j", diff, diff)
+                # rows j < i: row i's entries where row j has none
+                acc[:i, i] += np.einsum("jk,k->j", block[:i, cols] == 0, x * x)
     if metric == "cosine":
-        pair = lambda a, b: 1.0 - cosine_similarity(a, b)
+        sq = acc.diagonal().copy()
+        if not np.all(sq > 0):
+            raise ZeroVectorError("undefined cosine for zero vector")
+        acc = 1.0 - np.minimum(1.0, acc / np.sqrt(np.outer(sq, sq)))
     else:
-        pair = euclidean_distance
-
-    vals = np.zeros((n, n))
-    for i in range(n):
-        vals[i, i + 1 :] = [pair(vectors[i], vectors[j]) for j in range(i + 1, n)]
-    vals = vals + vals.T
-    return DistanceMatrix(labels, vals)
+        acc = np.sqrt(acc)
+    upper = np.triu(acc, 1)
+    return DistanceMatrix(labels, upper + upper.T)

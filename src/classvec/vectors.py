@@ -3,7 +3,8 @@
 Every vector is addressed through a LayerManifest: an ordered list of named
 layers, each carrying a group tag and a dimension. Entries are stored per
 layer as index-sorted arrays, so binary operations are linear merges over the
-stored entries and never touch absent coordinates. Vectors are immutable
+stored entries and never touch absent coordinates; layer_blocks packs many
+vectors into dense per-layer blocks for all-pairs work. Vectors are immutable
 after construction; all operations return new vectors and are safe to call
 concurrently.
 """
@@ -348,6 +349,41 @@ def euclidean_distance(a: SparseActivationVector, b: SparseActivationVector) -> 
         rest = bv[~b_hit]
         sq += float(np.dot(rest, rest))
     return float(np.sqrt(sq))
+
+
+# Cells in one block of layer_blocks (16 MB of float64), whatever the vector count.
+_BLOCK_CELLS = 1 << 21
+
+
+def layer_blocks(vectors: Sequence[SparseActivationVector]) -> Iterator[np.ndarray]:
+    """The vectors' stored entries as dense blocks with one row per vector.
+
+    Layers come in manifest order. Each covers the union of the vectors'
+    supports in that layer, in index order, cut into blocks of at most
+    _BLOCK_CELLS cells; a silent layer gives no block. Every stored entry
+    lands in exactly one block, so sums over the blocks' columns cover the
+    whole vectors without an n x total_dim array.
+    """
+    vectors = list(vectors)
+    for v in vectors[1:]:
+        _require_same_manifest(vectors[0], v, "layer_blocks")
+    if not vectors:
+        return
+    n = len(vectors)
+    width = max(1, _BLOCK_CELLS // n)
+    for lid in vectors[0].manifest.layer_ids:
+        rows = [r for r, v in enumerate(vectors) if lid in v._data]
+        if not rows:
+            continue
+        parts = [vectors[r]._data[lid] for r in rows]
+        row = np.repeat(rows, [idx.size for idx, _ in parts])
+        support, col = np.unique(np.concatenate([idx for idx, _ in parts]), return_inverse=True)
+        val = np.concatenate([val for _, val in parts])
+        for start in range(0, support.size, width):
+            sel = (col >= start) & (col < start + width)
+            block = np.zeros((n, min(width, support.size - start)))
+            block[row[sel], col[sel] - start] = val[sel]
+            yield block
 
 
 def subtract(a: SparseActivationVector, b: SparseActivationVector) -> SparseActivationVector:

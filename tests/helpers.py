@@ -103,7 +103,15 @@ def random_tree_edges(rng: np.random.Generator, n: int) -> list[tuple[str, str]]
 
 
 def random_dag_edges(rng: np.random.Generator, n: int, extra: int) -> list[tuple[str, str]]:
-    """Random tree plus extra child->parent links to earlier nodes."""
+    """Random tree plus extra child->parent links to earlier nodes.
+
+    Raises ValueError when ``extra`` exceeds the links the tree leaves free:
+    node c >= 2 may link to its c earlier nodes, one of which is its tree
+    parent, which leaves (n - 1)(n - 2)/2 free links in all.
+    """
+    free = (n - 1) * (n - 2) // 2
+    if extra > free:
+        raise ValueError(f"extra={extra} exceeds the {free} free child->parent links of {n} nodes")
     edges = set(random_tree_edges(rng, n))
     added = 0
     while added < extra:

@@ -284,7 +284,10 @@ def test_isomap_disconnected_graph_fails_without_flag(tmp_path, capsys):
         "--out", str(tmp_path / "iso"),
     ])
     assert code == 1
-    assert "component" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "component sizes: 3, 3" in err
+    # each point's two nearest neighbors lie in its own cluster of three
+    assert "the smallest k_neighbors that connects it is 3" in err
 
 
 def test_isomap_largest_component_flag_recovers(tmp_path):

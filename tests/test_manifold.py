@@ -192,6 +192,7 @@ class TestGeodesics:
             geodesic_matrix(g)
         assert exc.value.component_sizes == (3, 2)
         assert "3, 2" in str(exc.value)
+        assert exc.value.connecting_k is None  # a bare graph has no distances to rank
 
 
 class TestIsomap:
@@ -208,11 +209,35 @@ class TestIsomap:
     def test_disconnected_raises_unless_flagged(self):
         xs = np.array([0.0, 1.0, 2.0, 10.0, 11.0])[:, None]
         d = euclidean_dmatrix(xs)
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError) as exc:
             isomap(d, k_neighbors=1, dims=1)
+        assert exc.value.connecting_k == 2  # point 3's second neighbor is point 2
+        assert "the smallest k_neighbors that connects it is 2" in str(exc.value)
         with pytest.warns(UserWarning, match="largest"):
             emb = isomap(d, k_neighbors=1, dims=1, largest_component=True)
         assert emb.labels == ("p00", "p01", "p02")
+
+    def test_reported_k_is_the_smallest_that_connects(self):
+        rng = np.random.default_rng(131)
+        checked = 0
+        for trial in range(60):
+            n = int(rng.integers(4, 16))
+            if trial % 2:
+                d = random_dyadic_dmatrix(rng, n)  # many distance ties
+            else:  # clusters far apart need a larger k
+                centers = rng.integers(0, 4, size=n) * 100.0
+                d = euclidean_dmatrix((centers + rng.random(n))[:, None])
+            k = int(rng.integers(1, 4))
+            if len(knn_graph(d, k).components()) == 1:
+                continue
+            with pytest.raises(DisconnectedGraphError) as exc:
+                isomap(d, k_neighbors=k, dims=1)
+            best = exc.value.connecting_k
+            assert best > k
+            assert len(knn_graph(d, best).components()) == 1
+            assert len(knn_graph(d, best - 1).components()) > 1
+            checked += 1
+        assert checked >= 15
 
     def test_chain_geodesics_sum_consecutive_gaps(self):
         xs = np.cumsum([0.0, 1.0, 1.25, 1.5, 1.75])

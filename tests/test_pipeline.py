@@ -2,9 +2,14 @@
 
 import math
 from collections import namedtuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import classvec.vectors as vectors
 
 from classvec.errors import (
     ManifestMismatchError,
@@ -20,7 +25,12 @@ from classvec.pipeline import (
     build_class_embeddings,
     build_distance_matrix,
 )
-from classvec.vectors import LayerManifest, SparseActivationVector, cosine_similarity
+from classvec.vectors import (
+    LayerManifest,
+    SparseActivationVector,
+    cosine_similarity,
+    euclidean_distance,
+)
 
 from helpers import densify, random_vector, small_manifest
 
@@ -115,6 +125,48 @@ class TestAggregate:
             idx, val = aggregate(images, mode).layer("a1")
             assert idx.tolist() == [3]
             assert val[0] == value
+
+    @pytest.mark.parametrize(
+        "low, high, want",
+        [
+            # a plain product of the 200 values underflows to 0
+            (1e-4, 2e-4, math.sqrt(2.0) * 1e-4),
+            # a plain product of the 200 values overflows to inf
+            (50.0, 60.0, math.sqrt(3000.0)),
+        ],
+    )
+    def test_geometric_mean_of_many_images_stays_in_range(self, low, high, want):
+        m = small_manifest()
+        images = [
+            SparseActivationVector(m, {"a1": ([5], [low if k % 2 else high])}) for k in range(200)
+        ]
+        idx, val = aggregate(images, "geometric").layer("a1")
+        assert idx.tolist() == [5]
+        assert val[0] == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mean_inequality_on_random_supports(self, data):
+        m = LayerManifest([("a", "g", 4), ("b", "g", 3)])
+        value = st.floats(1e-6, 1e6)
+        images = []
+        for _ in range(data.draw(st.integers(2, 6))):
+            entries = {}
+            for spec in m:
+                idx = sorted(data.draw(st.sets(st.integers(0, spec.dim - 1))))
+                entries[spec.layer_id] = (idx, [data.draw(value) for _ in idx])
+            images.append(SparseActivationVector(m, entries))
+        a, g, h = (densify(aggregate(images, mode)) for mode in ("arithmetic", "geometric", "harmonic"))
+        # H <= G <= A holds exactly for the true means; the computed ones may
+        # round a few ulps across each other
+        assert np.all(h <= g * (1 + 1e-12)) and np.all(g <= a * (1 + 1e-12))
+        stacked = np.array([densify(img) for img in images])
+        constant = np.all(stacked == stacked[0], axis=0) & (stacked[0] > 0)
+        assert np.array_equal(h[constant], stacked[0, constant])
+        assert np.array_equal(g[constant], stacked[0, constant])
+        assert np.array_equal(a[constant], stacked[0, constant])
+        shared = np.all(stacked > 0, axis=0)
+        assert np.all(g[shared] > 0) and np.all(g[~shared] == 0)
 
     def test_manifest_mismatch_rejected(self):
         m1 = small_manifest()
@@ -246,6 +298,20 @@ class TestBuildDistanceMatrix:
         d = build_distance_matrix(embs, "cosine")
         assert d.values[0, 1] == 0.0
 
+    @pytest.mark.parametrize("distinct, dim, density", [(30, 1500, 0.3), (50, 800, 0.5), (25, 3000, 0.1)])
+    def test_duplicates_are_exactly_zero_in_wide_layers(self, distinct, dim, density):
+        # at these sizes a BLAS Gram product (X @ X.T) rounds some duplicate
+        # pairs differently from their diagonal entries
+        rng = np.random.default_rng(359)
+        m = LayerManifest([("wide", "g", dim), ("narrow", "g", 7)])
+        vecs = [random_vector(rng, m, density=density) for _ in range(distinct)]
+        vecs += vecs[::-1]
+        embs = [ClassEmbedding(f"c{i:03d}", "s", v, 1) for i, v in enumerate(vecs)]
+        n = len(vecs)
+        for metric in ("cosine", "euclidean"):
+            d = build_distance_matrix(embs, metric).values
+            assert all(d[i, n - 1 - i] == 0.0 for i in range(distinct)), metric
+
     def test_orthogonal_vectors_are_distance_one(self):
         m = small_manifest()
         a = SparseActivationVector(m, {"a1": ([0], [1.0])})
@@ -309,3 +375,58 @@ class TestBuildDistanceMatrix:
         v = SparseActivationVector(m, {"a1": ([0], [1.0])})
         with pytest.raises(ValidationError, match="metric"):
             build_distance_matrix([ClassEmbedding("a", "s", v, 1)], "manhattan")
+
+    def test_mixed_manifests_rejected(self):
+        wide = LayerManifest([("a1", "low", 16), ("a2", "low", 8)])
+        a = SparseActivationVector(small_manifest(), {"a1": ([0], [1.0])})
+        b = SparseActivationVector(wide, {"a1": ([0], [1.0])})
+        embs = [ClassEmbedding("a", "sa", a, 1), ClassEmbedding("b", "sb", b, 1)]
+        for metric in ("cosine", "euclidean"):
+            with pytest.raises(ManifestMismatchError):
+                build_distance_matrix(embs, metric)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_pairwise_functions(self, data):
+        dims = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+        m = LayerManifest([(f"L{k}", "g", dim) for k, dim in enumerate(dims)])
+        vecs = []
+        for _ in range(data.draw(st.integers(1, 7))):
+            copy = data.draw(st.integers(-1, len(vecs) - 1))
+            if copy >= 0:
+                vecs.append(vecs[copy])
+                continue
+            entries = {}
+            for spec in m:  # empty index sets leave silent layers and zero vectors
+                idx = sorted(data.draw(st.sets(st.integers(0, spec.dim - 1), max_size=spec.dim)))
+                entries[spec.layer_id] = (idx, [data.draw(st.floats(1e-3, 1e2)) for _ in idx])
+            vecs.append(SparseActivationVector(m, entries))
+        embs = [ClassEmbedding(f"c{i}", f"s{i}", v, 1) for i, v in enumerate(vecs)]
+        # small blocks split the layers into several column blocks
+        cells = data.draw(st.sampled_from([1, 2, 5, 1 << 21]))
+        has_zero = any(v.is_zero for v in vecs)
+        with mock.patch.object(vectors, "_BLOCK_CELLS", cells):
+            euc = build_distance_matrix(embs, "euclidean").values
+            if has_zero:
+                with pytest.raises(ZeroVectorError):
+                    build_distance_matrix(embs, "cosine")
+                cos = None
+            else:
+                cos = build_distance_matrix(embs, "cosine").values
+        dense = [densify(v) for v in vecs]
+        for mat in (euc, cos):
+            if mat is not None:
+                assert np.array_equal(mat, mat.T)
+                assert np.all(mat.diagonal() == 0.0)
+        for i in range(len(vecs)):
+            for j in range(i + 1, len(vecs)):
+                assert euc[i, j] == pytest.approx(euclidean_distance(vecs[i], vecs[j]), abs=1e-12)
+                if vecs[i] == vecs[j]:
+                    assert euc[i, j] == 0.0
+                if cos is None:
+                    continue
+                assert cos[i, j] == pytest.approx(1.0 - cosine_similarity(vecs[i], vecs[j]), abs=1e-12)
+                if vecs[i] == vecs[j]:
+                    assert cos[i, j] == 0.0
+                if not np.any((dense[i] > 0) & (dense[j] > 0)):
+                    assert cos[i, j] == 1.0

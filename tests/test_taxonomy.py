@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -342,3 +343,25 @@ class TestSimilarityMatrices:
         assert similarity(zoo, "res", "dog", "car", ic=partial) == 0.0
         (res,) = similarity_matrices(zoo, ["dog", "car"], [("res", partial)])
         assert res[0, 1] == 0.0
+
+
+class TestRandomDagEdges:
+    def test_too_many_extra_links_raise_at_once(self):
+        raised = []
+
+        def call():
+            try:
+                random_dag_edges(np.random.default_rng(0), 3, 2)
+            except ValueError as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=call, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert raised and "1 free" in str(raised[0])
+
+    def test_every_free_link_can_be_drawn(self):
+        # 6 nodes: 15 child->parent pairs in all, 5 of them tree edges
+        edges = random_dag_edges(np.random.default_rng(1), 6, 10)
+        assert len(edges) == len(set(edges)) == 15

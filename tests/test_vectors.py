@@ -1,7 +1,13 @@
 """Vector core: construction, validation, and agreement with dense arithmetic."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import classvec.vectors as vectors
 
 from classvec.errors import (
     ManifestError,
@@ -17,6 +23,7 @@ from classvec.vectors import (
     dot,
     euclidean_distance,
     l2_norm,
+    layer_blocks,
     normalize_by_layer,
     normalize_whole,
     restrict_to_groups,
@@ -296,3 +303,27 @@ class TestOperations:
         assert euclidean_distance(ra, rb) == pytest.approx(
             float(np.linalg.norm(da - db)), abs=1e-12
         )
+
+
+class TestLayerBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), cells=st.sampled_from([1, 3, 8, 1 << 21]))
+    def test_blocks_are_the_dense_rows_without_empty_columns(self, seed, n, cells):
+        rng = np.random.default_rng(seed)
+        m = small_manifest()
+        vecs = [
+            random_vector(rng, m, density=float(rng.uniform(0.0, 0.4)), allow_zero=True)
+            for _ in range(n)
+        ]
+        with mock.patch.object(vectors, "_BLOCK_CELLS", cells):
+            blocks = list(layer_blocks(vecs))
+        assert all(b.shape[0] == n and b.size <= max(cells, n) for b in blocks)
+        dense = np.array([densify(v) for v in vecs])
+        got = np.hstack(blocks) if blocks else np.zeros((n, 0))
+        assert np.array_equal(got, dense[:, dense.any(axis=0)])
+
+    def test_mixed_manifests_rejected(self):
+        a = SparseActivationVector(small_manifest(), {"a1": ([0], [1.0])})
+        b = SparseActivationVector(LayerManifest([("a1", "low", 16)]), {"a1": ([0], [1.0])})
+        with pytest.raises(ManifestMismatchError):
+            list(layer_blocks([a, b]))
