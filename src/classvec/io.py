@@ -6,13 +6,23 @@ distance matrix CSV, coordinates/eigenvalue CSVs, rho tables, histogram
 CSVs, equation tables, and 2-D scatter SVGs. All text is UTF-8 with LF
 line endings; reals use Python's shortest round-trip representation except
 CSV matrix cells, which carry 9 significant digits.
+
+Activations and class embeddings end in the same triplet field:
+
+    triplets := "" | triplet (" " triplet)*
+    triplet  := layer_id ":" index ":" value
+
+Layer ids are non-empty and hold no whitespace, but may hold ":"; a triplet
+splits at its last two colons. index is a Python int in [0, dim) of its
+layer, value a Python float that is finite and >= 0, and no (layer, index)
+repeats within a line. Triplets may come in any order; writers emit them in
+manifest order, indices ascending, zeros left out.
 """
 
 from __future__ import annotations
 
 import csv
 import html
-import math
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +54,16 @@ def _check_id(kind: str, value: str) -> str:
     return value
 
 
+def _is_layer_id(text: str) -> bool:
+    """Non-empty and free of whitespace, as the triplet grammar needs."""
+    return text.split() == [text]
+
+
+def _check_layer_id(layer_id: str) -> None:
+    if not _is_layer_id(layer_id):
+        raise ValidationError(f"layer_id {layer_id!r} is empty or contains whitespace")
+
+
 def _open_read(path) -> IO[str]:
     return open(path, "r", encoding="utf-8", newline="")
 
@@ -67,6 +87,8 @@ def load_manifest(path) -> LayerManifest:
             if len(parts) != 3:
                 raise FormatError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")
             layer_id, group, dim_text = parts
+            if not _is_layer_id(layer_id):
+                raise FormatError(path, lineno, f"layer_id {layer_id!r} is empty or contains whitespace")
             try:
                 dim = int(dim_text)
             except ValueError:
@@ -82,19 +104,112 @@ def load_manifest(path) -> LayerManifest:
 
 
 def write_manifest(manifest: LayerManifest, path) -> None:
+    for spec in manifest:
+        _check_layer_id(spec.layer_id)
     with _open_write(path) as fh:
         for spec in manifest:
-            fh.write(f"{_check_id('layer_id', spec.layer_id)}\t{spec.group}\t{spec.dim}\n")
+            fh.write(f"{spec.layer_id}\t{spec.group}\t{spec.dim}\n")
 
 
 # -- activations ------------------------------------------------------------
 
 
+def _parse_triplets(
+    path, lineno: int, payload: str, manifest: LayerManifest
+) -> SparseActivationVector:
+    """One line's triplet field as a vector, every entry checked once.
+
+    On a faulty line the first faulty triplet is reported, with the first of
+    its faults in this order: malformed triplet, unknown layer, malformed
+    number, index out of range, bad value. A repeated index is reported only
+    when no triplet has any of those.
+    """
+    if not payload:
+        return SparseActivationVector.empty(manifest)
+    count = payload.count(" ") + 1
+    # One split: a tab (never inside a field) marks where each triplet ends,
+    # so every 4th piece is a tab exactly when each triplet has two colons.
+    fields = payload.replace(" ", ":\t:").split(":")
+    fault = None
+    if len(fields) == 4 * count - 1 and fields[3::4].count("\t") == count - 1:
+        lids, idx_text, val_text = fields[0::4], fields[1::4], fields[2::4]
+    else:
+        # a layer id holds ':' or a triplet is malformed: split each at its last two colons
+        lids, idx_text, val_text = [], [], []
+        for token in payload.split(" "):
+            triplet = token.rsplit(":", 2)
+            if len(triplet) != 3:
+                fault = f"malformed triplet {token!r}"
+                break
+            lids.append(triplet[0])
+            idx_text.append(triplet[1])
+            val_text.append(triplet[2])
+
+    # Each check below sees only the triplets before the first fault found so
+    # far, so the fault raised is the first faulty triplet's first fault.
+    pos = list(map(manifest._position.get, lids))
+    if None in pos:
+        cut = pos.index(None)
+        fault = f"unknown layer_id {lids[cut]!r}"
+        del pos[cut:], lids[cut:], idx_text[cut:], val_text[cut:]
+    try:
+        ints = list(map(int, idx_text))
+        reals = list(map(float, val_text))
+    except ValueError:
+        for cut, (i_text, v_text) in enumerate(zip(idx_text, val_text)):
+            try:
+                int(i_text), float(v_text)
+            except ValueError:
+                break
+        fault = f"malformed triplet {lids[cut] + ':' + i_text + ':' + v_text!r}"
+        del pos[cut:], lids[cut:], idx_text[cut:], val_text[cut:]
+        ints = list(map(int, idx_text))
+        reals = list(map(float, val_text))
+    pos = np.array(pos, dtype=np.intp)
+    idx = np.array(ints)  # object dtype when an index overflows int64
+    val = np.array(reals, dtype=np.float64)
+    dims = manifest._dims[pos]
+    out_of_range = (idx < 0) | (idx >= dims)
+    bad = out_of_range | ~(val >= 0) | (val == np.inf)  # ~(val >= 0) holds for nan too
+    if bad.any():
+        k = int(bad.argmax())
+        if out_of_range[k]:
+            fault = f"layer {lids[k]!r}: index {ints[k]} out of range (dim {dims[k]})"
+        else:
+            fault = f"layer {lids[k]!r}: bad value {val_text[k]!r}"
+    if fault is not None:
+        raise FormatError(path, lineno, fault)
+    # Free the line's few thousand strings and numbers before the vector's
+    # long-lived arrays are allocated: allocated among them, those arrays pin
+    # half-empty allocator arenas, and a 200-class build kept 10 MB more
+    # resident after every run.
+    del fields, lids, idx_text, val_text, ints, reals
+    try:
+        return SparseActivationVector._from_checked(
+            manifest, pos, idx.astype(np.int64, copy=False), val
+        )
+    except ValidationError as exc:  # a repeated index
+        raise FormatError(path, lineno, str(exc)) from None
+
+
+def _format_triplets(vector: SparseActivationVector) -> str:
+    """The vector's triplet field, layer by layer in manifest order."""
+    layers = []
+    for layer_id in vector.stored_layers:
+        _check_layer_id(layer_id)
+        idx, val = vector.layer(layer_id)
+        # repr of a Python float is _fmt's shortest round-trip form
+        layers.append(
+            " ".join(f"{layer_id}:{i}:{v!r}" for i, v in zip(idx.tolist(), val.tolist()))
+        )
+    return " ".join(layers)
+
+
 def stream_activations(path, manifest: LayerManifest) -> Iterator[ActivationRecord]:
     """Yield records one at a time in file order; memory stays O(1 record).
 
-    Line format: image_id TAB class_id TAB space-separated
-    layer_id:index:value triplets (the third field may be empty).
+    Line format: image_id TAB class_id TAB triplets (see the module
+    docstring; the third field may be empty).
     """
     with _open_read(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -107,53 +222,16 @@ def stream_activations(path, manifest: LayerManifest) -> Iterator[ActivationReco
             image_id, class_id, payload = parts
             if not image_id or not class_id:
                 raise FormatError(path, lineno, "empty image_id or class_id")
-            entries: dict[str, tuple[list[int], list[float]]] = {}
-            if payload:
-                for token in payload.split(" "):
-                    pieces = token.rsplit(":", 2)
-                    if len(pieces) != 3:
-                        raise FormatError(path, lineno, f"malformed triplet {token!r}")
-                    layer_id, idx_text, val_text = pieces
-                    if layer_id not in manifest:
-                        raise FormatError(path, lineno, f"unknown layer_id {layer_id!r}")
-                    try:
-                        idx = int(idx_text)
-                        val = float(val_text)
-                    except ValueError:
-                        raise FormatError(path, lineno, f"malformed triplet {token!r}") from None
-                    dim = manifest.dim_of(layer_id)
-                    if not 0 <= idx < dim:
-                        raise FormatError(
-                            path,
-                            lineno,
-                            f"layer {layer_id!r}: index {idx} out of range (dim {dim})",
-                        )
-                    if not math.isfinite(val) or val < 0:
-                        raise FormatError(
-                            path, lineno, f"layer {layer_id!r}: bad value {val_text!r}"
-                        )
-                    bucket = entries.setdefault(layer_id, ([], []))
-                    bucket[0].append(idx)
-                    bucket[1].append(val)
-            try:
-                vector = SparseActivationVector(
-                    manifest,
-                    {lid: (np.array(ix, dtype=np.int64), np.array(vs)) for lid, (ix, vs) in entries.items()},
-                )
-            except ValidationError as exc:
-                raise FormatError(path, lineno, str(exc)) from None
+            vector = _parse_triplets(path, lineno, payload, manifest)
             yield ActivationRecord(image_id, class_id, vector)
 
 
 def write_activations(records: Iterable[ActivationRecord], path) -> None:
     with _open_write(path) as fh:
         for rec in records:
-            triplets = " ".join(
-                f"{lid}:{idx}:{_fmt(val)}" for lid, idx, val in rec.vector.iter_entries()
-            )
             fh.write(
                 f"{_check_id('image_id', rec.image_id)}\t"
-                f"{_check_id('class_id', rec.class_id)}\t{triplets}\n"
+                f"{_check_id('class_id', rec.class_id)}\t{_format_triplets(rec.vector)}\n"
             )
 
 
@@ -274,14 +352,10 @@ def write_class_embeddings(embeddings: Sequence[ClassEmbedding], path) -> None:
     """class_id TAB synset_id TAB image_count TAB triplets, sorted by class."""
     with _open_write(path) as fh:
         for embedding in sorted(embeddings, key=lambda e: e.class_id):
-            triplets = " ".join(
-                f"{lid}:{idx}:{_fmt(val)}"
-                for lid, idx, val in embedding.vector.iter_entries()
-            )
             fh.write(
                 f"{_check_id('class_id', embedding.class_id)}\t"
                 f"{_check_id('synset_id', embedding.synset_id)}\t"
-                f"{embedding.image_count}\t{triplets}\n"
+                f"{embedding.image_count}\t{_format_triplets(embedding.vector)}\n"
             )
 
 
@@ -297,6 +371,8 @@ def load_class_embeddings(path, manifest: LayerManifest) -> list[ClassEmbedding]
             if len(parts) != 4:
                 raise FormatError(path, lineno, f"expected 4 tab-separated fields, got {len(parts)}")
             class_id, synset_id, count_text, payload = parts
+            if not class_id or not synset_id:
+                raise FormatError(path, lineno, "empty class_id or synset_id")
             if class_id in seen:
                 raise FormatError(path, lineno, f"duplicate class_id {class_id!r}")
             seen.add(class_id)
@@ -304,27 +380,8 @@ def load_class_embeddings(path, manifest: LayerManifest) -> list[ClassEmbedding]
                 image_count = int(count_text)
             except ValueError:
                 raise FormatError(path, lineno, f"image_count {count_text!r} is not an integer") from None
-            entries: dict[str, tuple[list[int], list[float]]] = {}
-            if payload:
-                for token in payload.split(" "):
-                    pieces = token.rsplit(":", 2)
-                    if len(pieces) != 3:
-                        raise FormatError(path, lineno, f"malformed triplet {token!r}")
-                    layer_id, idx_text, val_text = pieces
-                    if layer_id not in manifest:
-                        raise FormatError(path, lineno, f"unknown layer_id {layer_id!r}")
-                    try:
-                        idx, val = int(idx_text), float(val_text)
-                    except ValueError:
-                        raise FormatError(path, lineno, f"malformed triplet {token!r}") from None
-                    bucket = entries.setdefault(layer_id, ([], []))
-                    bucket[0].append(idx)
-                    bucket[1].append(val)
+            vector = _parse_triplets(path, lineno, payload, manifest)
             try:
-                vector = SparseActivationVector(
-                    manifest,
-                    {lid: (np.array(ix, dtype=np.int64), np.array(vs)) for lid, (ix, vs) in entries.items()},
-                )
                 out.append(ClassEmbedding(class_id, synset_id, vector, image_count))
             except ValidationError as exc:
                 raise FormatError(path, lineno, str(exc)) from None

@@ -274,7 +274,10 @@ def build_distance_matrix(
                 continue
             x = block[i, cols]
             if metric == "cosine":
-                acc[i, i:] += np.einsum("jk,k->j", block[i:, cols], x)
+                # all n rows, not rows i..: einsum sums a one-row operand in another
+                # order than a taller one, and a duplicate of the last row then
+                # missed its diagonal by an ulp
+                acc[i, i:] += np.einsum("jk,k->j", block[:, cols], x)[i:]
             else:
                 diff = block[i + 1 :, cols] - x
                 acc[i, i + 1 :] += np.einsum("jk,jk->j", diff, diff)

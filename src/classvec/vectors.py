@@ -38,7 +38,9 @@ class LayerManifest:
     of (layer, i) is offset_of(layer) + i.
     """
 
-    __slots__ = ("_layers", "_position", "_offsets", "_total_dim", "_groups", "_digest")
+    __slots__ = (
+        "_layers", "_position", "_offsets", "_dims", "_starts", "_total_dim", "_groups", "_digest"
+    )
 
     def __init__(self, layers: Iterable[tuple[str, str, int]]):
         specs = tuple(LayerSpec(str(lid), str(grp), int(dim)) for lid, grp, dim in layers)
@@ -61,6 +63,9 @@ class LayerManifest:
         self._layers = specs
         self._position = position
         self._offsets = offsets
+        # by manifest position, for flat entries (the constructor, the io triplet parser)
+        self._dims = _lock(np.array([spec.dim for spec in specs], dtype=np.int64))
+        self._starts = _lock(np.array([offsets[spec.layer_id] for spec in specs], dtype=np.int64))
         self._total_dim = total
         self._groups = tuple(groups)
         payload = "\n".join(f"{s.layer_id}\t{s.group}\t{s.dim}" for s in specs)
@@ -150,9 +155,13 @@ def _as_indices(layer_id: str, raw) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-def _coerce_layer(layer_id: str, dim: int, raw) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize one layer's entries to sorted, validated index/value arrays."""
-    if isinstance(raw, tuple) and len(raw) == 2 and not np.isscalar(raw[0]):
+def _layer_arrays(layer_id: str, raw) -> tuple[np.ndarray, np.ndarray]:
+    """One layer's entries as int64 index and float64 value arrays, in the order given."""
+    if (
+        isinstance(raw, tuple)
+        and len(raw) == 2
+        and (isinstance(raw[0], np.ndarray) or not np.isscalar(raw[0]))
+    ):
         idx = _as_indices(layer_id, raw[0])
         val = np.asarray(raw[1], dtype=np.float64)
         if idx.shape != val.shape:
@@ -161,27 +170,73 @@ def _coerce_layer(layer_id: str, dim: int, raw) -> tuple[np.ndarray, np.ndarray]
         pairs = list(raw)
         idx = _as_indices(layer_id, [p[0] for p in pairs])
         val = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    if idx.size == 0:
-        return idx, val
+    return idx, val
+
+
+def _layer_fault(layer_id: str, dim: int, idx: np.ndarray, val: np.ndarray) -> str | None:
+    """The first fault of one layer's entries, in the order they are checked."""
     order = np.argsort(idx, kind="stable")
     idx = idx[order]
     val = val[order]
-    if idx[0] < 0 or idx[-1] >= dim:
+    if idx.size and (idx[0] < 0 or idx[-1] >= dim):
         bad = int(idx[0]) if idx[0] < 0 else int(idx[-1])
-        raise ValidationError(f"layer {layer_id!r}: feature index {bad} out of range (dim {dim})")
+        return f"layer {layer_id!r}: feature index {bad} out of range (dim {dim})"
     if idx.size > 1 and np.any(np.diff(idx) == 0):
         dup = int(idx[np.flatnonzero(np.diff(idx) == 0)[0]])
-        raise ValidationError(f"layer {layer_id!r}: duplicate feature index {dup}")
+        return f"layer {layer_id!r}: duplicate feature index {dup}"
     if not np.all(np.isfinite(val)):
-        raise ValidationError(f"layer {layer_id!r}: non-finite activation value")
+        return f"layer {layer_id!r}: non-finite activation value"
     if np.any(val < 0):
         bad = float(val[val < 0][0])
-        raise ValidationError(f"layer {layer_id!r}: negative activation value {bad}")
+        return f"layer {layer_id!r}: negative activation value {bad}"
+    return None
+
+
+def _first_fault(manifest: LayerManifest, pos: np.ndarray, idx: np.ndarray, val: np.ndarray):
+    """ValidationError for the first faulty layer of flat entries, in order of appearance."""
+    for p in dict.fromkeys(pos.tolist()):
+        spec = manifest.layers[p]
+        sel = pos == p
+        message = _layer_fault(spec.layer_id, spec.dim, idx[sel], val[sel])
+        if message is not None:
+            return ValidationError(message)
+    raise AssertionError("no faulty layer among the entries")
+
+
+def _split_layers(
+    manifest: LayerManifest, pos: np.ndarray, idx: np.ndarray, val: np.ndarray
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Flat entries as locked per-layer (indices, values) in manifest order.
+
+    pos holds each entry's layer position in the manifest and idx its index in
+    that layer. Indices must be in range and values finite and >= 0; the
+    arrays must not be shared with the caller's data. Entries are sorted by
+    (layer, index) and zeros are dropped. A repeated index raises the
+    ValidationError of the first layer, in order of appearance, that repeats one.
+    """
+    if not idx.size:
+        return {}
+    key = manifest._starts[pos] + idx  # the flattened index
+    if not np.all(key[1:] > key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise _first_fault(manifest, pos, idx, val)
+        pos, idx, val = pos[order], idx[order], val[order]
     keep = val > 0  # explicit zeros are never stored
     if not keep.all():
-        idx = idx[keep]
-        val = val[keep]
-    return idx, val
+        pos, idx, val = pos[keep], idx[keep], val[keep]
+        if not idx.size:
+            return {}
+    # views of locked arrays are read-only too
+    idx = _lock(idx)
+    val = _lock(val)
+    bounds = [0, *(np.flatnonzero(pos[1:] != pos[:-1]) + 1).tolist(), pos.size]
+    layers = manifest.layers
+    return {
+        layers[p].layer_id: (idx[a:b], val[a:b])
+        for p, a, b in zip(pos[bounds[:-1]].tolist(), bounds, bounds[1:])
+    }
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -197,20 +252,41 @@ class SparseActivationVector:
     """Non-negative sparse activations segmented by manifest layer.
 
     Within each layer, indices are strictly increasing and values strictly
-    positive (explicit zeros are dropped at construction). Two vectors are
-    operable together only when their manifests compare equal.
+    positive (explicit zeros are dropped at construction). Constructed
+    vectors store their layers in manifest order, whatever order the entries
+    mapping lists them in, so sums over the layers run in one order. Two
+    vectors are operable together only when their manifests compare equal.
     """
 
     __slots__ = ("manifest", "_data")
 
     def __init__(self, manifest: LayerManifest, entries: Mapping[str, object] | None = None):
-        data: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if entries:
-            for layer_id in entries:
-                dim = manifest.dim_of(layer_id)  # raises on unknown layer
-                idx, val = _coerce_layer(layer_id, dim, entries[layer_id])
-                if idx.size:
-                    data[layer_id] = (_lock(idx), _lock(val))
+        positions, idx_parts, val_parts = [], [], []
+        late_fault = None
+        for layer_id in entries or ():
+            try:
+                position = manifest._position.get(layer_id)
+                if position is None:
+                    raise ValidationError(f"unknown layer_id {layer_id!r}")
+                idx, val = _layer_arrays(layer_id, entries[layer_id])
+            except ValidationError as exc:
+                late_fault = exc  # raised unless an earlier layer has a fault
+                break
+            positions.append(position)
+            idx_parts.append(idx)
+            val_parts.append(val)
+        data = {}
+        if idx_parts:
+            # every layer's checks in one pass over the concatenated entries
+            pos = np.repeat(positions, [part.size for part in idx_parts])
+            idx = np.concatenate(idx_parts)
+            val = np.concatenate(val_parts)
+            ok = (idx >= 0) & (idx < manifest._dims[pos]) & (val >= 0) & (val < np.inf)
+            if not ok.all():
+                raise _first_fault(manifest, pos, idx, val)
+            data = _split_layers(manifest, pos, idx, val)
+        if late_fault is not None:
+            raise late_fault
         self.manifest = manifest
         self._data = data
 
@@ -221,6 +297,17 @@ class SparseActivationVector:
         v.manifest = manifest
         v._data = data
         return v
+
+    @classmethod
+    def _from_checked(
+        cls, manifest: LayerManifest, pos: np.ndarray, idx: np.ndarray, val: np.ndarray
+    ) -> "SparseActivationVector":
+        """Internal fast path for flat entries already checked for range and value.
+
+        The arrays are those of _split_layers, which sorts them, drops zeros
+        and refuses repeated indices.
+        """
+        return cls._trusted(manifest, _split_layers(manifest, pos, idx, val))
 
     @classmethod
     def empty(cls, manifest: LayerManifest) -> "SparseActivationVector":

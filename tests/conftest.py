@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# property tests build vectors and files; their run time varies too much for a deadline
+settings.register_profile("classvec", deadline=None)
+settings.load_profile("classvec")
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -1,11 +1,15 @@
 """File format round-trips, positional error reporting, and artifact writers."""
 
+import tempfile
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import classvec.io as cvio
 from classvec import (
@@ -75,6 +79,22 @@ def test_manifest_empty_file(tmp_path):
     p = write(tmp_path / "m.tsv", "")
     with pytest.raises(FormatError, match="empty"):
         cvio.load_manifest(p)
+
+
+@pytest.mark.parametrize("layer_id", ["conv 1", "", "a\u00a0b", "x\x0by"])
+def test_manifest_layer_ids_must_be_triplet_tokens(tmp_path, layer_id):
+    p = write(tmp_path / "m.tsv", f"a\tlow\t4\n{layer_id}\tlow\t8\n")
+    with pytest.raises(FormatError, match="empty or contains whitespace") as err:
+        cvio.load_manifest(p)
+    assert err.value.line == 2
+    m = LayerManifest([("a", "low", 4), (layer_id, "low", 8)])
+    with pytest.raises(ValidationError, match="empty or contains whitespace"):
+        cvio.write_manifest(m, tmp_path / "out.tsv")
+    v = SparseActivationVector(m, {"a": ([0], [1.0]), layer_id: ([3], [2.0])})
+    with pytest.raises(ValidationError, match="empty or contains whitespace"):
+        cvio.write_activations([cvio.ActivationRecord("i", "c", v)], tmp_path / "a.tsv")
+    with pytest.raises(ValidationError, match="empty or contains whitespace"):
+        cvio.write_class_embeddings([ClassEmbedding("c", "s", v, 1)], tmp_path / "e.tsv")
 
 
 # -- activations ---------------------------------------------------------------
@@ -183,6 +203,136 @@ def test_streaming_keeps_memory_flat(tmp_path):
     assert count == 2000 * 100
     # holding every parsed record would need >3 MB of arrays alone
     assert peak < file_bytes / 2
+
+
+# -- triplet field, shared by activations and class embeddings -----------------
+
+# each loader's line prefix before the triplet field
+LOADERS = {
+    "activations": (lambda p, m: list(cvio.stream_activations(p, m)), "img{}\tcls0\t"),
+    "embeddings": (cvio.load_class_embeddings, "c{}\tn{}\t3\t"),
+}
+
+BAD_PAYLOADS = [
+    pytest.param("a1:3", "malformed triplet 'a1:3'", id="malformed"),
+    pytest.param("a1:0:1.0  a1:1:1.0", "malformed triplet ''", id="double-space"),
+    pytest.param("a1:x:1.0", "malformed triplet 'a1:x:1.0'", id="bad-number"),
+    pytest.param("nope:0:1.5", "unknown layer_id 'nope'", id="unknown-layer"),
+    pytest.param("a1:0:1.0 a2:8:1.0", "layer 'a2': index 8 out of range (dim 8)", id="index-range"),
+    pytest.param(
+        "a1:99999999999999999999:1.0",
+        "layer 'a1': index 99999999999999999999 out of range (dim 16)",
+        id="index-beyond-int64",
+    ),
+    pytest.param("a1:0:-1.0", "layer 'a1': bad value '-1.0'", id="negative"),
+    pytest.param("a1:0:nan", "layer 'a1': bad value 'nan'", id="nan"),
+    pytest.param("a1:0:1e999", "layer 'a1': bad value '1e999'", id="inf"),
+    # a2 repeats an index and appears before a1, which repeats one too
+    pytest.param(
+        "b1:4:1.0 a2:1:1.0 a1:2:1.0 b1:5:1.0 a1:2:3.0 a2:1:1.0",
+        "layer 'a2': duplicate feature index 1",
+        id="duplicate-interleaved",
+    ),
+    # the first faulty triplet is reported, and a repeat only when nothing else is wrong
+    pytest.param("a1:0:-1.0 nope:0:1.0", "layer 'a1': bad value '-1.0'", id="first-fault-value"),
+    pytest.param("nope:0:1.0 a1:0:-1.0", "unknown layer_id 'nope'", id="first-fault-layer"),
+    pytest.param("a1:2:1.0 a1:2:1.0 a2:9:1.0", "layer 'a2': index 9 out of range (dim 8)", id="repeat-last"),
+]
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize("payload, message", BAD_PAYLOADS)
+def test_both_loaders_report_bad_triplets_alike(tmp_path, loader, payload, message):
+    load, prefix = LOADERS[loader]
+    text = f"{prefix.format(0, 0)}a1:0:1.0\n{prefix.format(1, 1)}{payload}\n"
+    p = write(tmp_path / "bad.tsv", text)
+    with pytest.raises(FormatError) as err:
+        load(p, small_manifest())
+    assert err.value.line == 2
+    assert str(err.value) == f"{p}:2: {message}"
+
+
+def test_both_loaders_split_triplets_at_the_last_two_colons(tmp_path):
+    m = LayerManifest([("x:y", "g", 4), (":", "g", 3), ("b", "g", 2)])
+    payload = "x:y:3:0.5 b:1:2.0 ::2:1.5 x:y:0:0.25"
+    want = SparseActivationVector(m, {"x:y": ([3, 0], [0.5, 0.25]), ":": ([2], [1.5]), "b": ([1], [2.0])})
+    for loader, (load, prefix) in LOADERS.items():
+        p = write(tmp_path / f"{loader}.tsv", f"{prefix.format(0, 0)}{payload}\n")
+        (got,) = [r.vector for r in load(p, m)]
+        assert got == want
+        assert got.stored_layers == ("x:y", ":", "b")
+    p = write(tmp_path / "bad.tsv", "img0\tcls0\tx:y:4:1.0\n")
+    with pytest.raises(FormatError, match=r"layer 'x:y': index 4 out of range \(dim 4\)"):
+        list(cvio.stream_activations(p, m))
+
+
+LAYER_ID_PARTS = ["a", "b", ":", "7", "é", "層", "_"]
+
+
+@st.composite
+def manifests_and_vectors(draw):
+    ids = draw(
+        st.lists(
+            st.lists(st.sampled_from(LAYER_ID_PARTS), min_size=1, max_size=4).map("".join),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    m = LayerManifest([(lid, "g", draw(st.integers(1, 6))) for lid in ids])
+    vecs = []
+    for _ in range(draw(st.integers(1, 4))):
+        entries = {}
+        for spec in m:  # empty index sets leave silent layers and zero vectors
+            idx = draw(st.lists(st.integers(0, spec.dim - 1), max_size=spec.dim, unique=True))
+            val = [draw(st.floats(1e-300, 1e300)) for _ in idx]
+            entries[spec.layer_id] = (idx, val)
+        vecs.append((entries, SparseActivationVector(m, entries)))
+    return m, vecs
+
+
+@given(case=manifests_and_vectors(), data=st.data())
+def test_triplet_round_trip_property(case, data):
+    m, vecs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        cvio.write_manifest(m, d / "m.tsv")
+        assert cvio.load_manifest(d / "m.tsv") == m
+
+        records = [cvio.ActivationRecord(f"i{k}", "c", v) for k, (_, v) in enumerate(vecs)]
+        embs = [ClassEmbedding(f"c{k}", f"s{k}", v, k + 1) for k, (_, v) in enumerate(vecs)]
+        cvio.write_activations(records, d / "a1.tsv")
+        cvio.write_class_embeddings(embs, d / "e1.tsv")
+        loaded = [r.vector for r in cvio.stream_activations(d / "a1.tsv", m)]
+        loaded_embs = cvio.load_class_embeddings(d / "e1.tsv", m)
+        assert loaded == [v for _, v in vecs]
+        assert [e.vector for e in loaded_embs] == [v for _, v in vecs]
+        cvio.write_activations(
+            [cvio.ActivationRecord(f"i{k}", "c", v) for k, v in enumerate(loaded)], d / "a2.tsv"
+        )
+        cvio.write_class_embeddings(loaded_embs, d / "e2.tsv")
+        assert (d / "a1.tsv").read_bytes() == (d / "a2.tsv").read_bytes()
+        assert (d / "e1.tsv").read_bytes() == (d / "e2.tsv").read_bytes()
+
+        # hand-written lines: the same entries plus explicit zeros, shuffled across layers
+        lines = []
+        for entries, _ in vecs:
+            triplets = []
+            for lid, (idx, val) in entries.items():
+                triplets += [f"{lid}:{i}:{v!r}" for i, v in zip(idx, val)]
+                free = sorted(set(range(m.dim_of(lid))) - set(idx))
+                if free:
+                    triplets += [f"{lid}:{i}:0.0" for i in data.draw(st.sets(st.sampled_from(free)))]
+            lines.append(" ".join(data.draw(st.permutations(triplets))))
+        (d / "a3.tsv").write_text(
+            "".join(f"i{k}\tc\t{line}\n" for k, line in enumerate(lines)), encoding="utf-8"
+        )
+        (d / "e3.tsv").write_text(
+            "".join(f"c{k}\ts{k}\t1\t{line}\n" for k, line in enumerate(lines)), encoding="utf-8"
+        )
+        want = [v for _, v in vecs]
+        assert [r.vector for r in cvio.stream_activations(d / "a3.tsv", m)] == want
+        assert [e.vector for e in cvio.load_class_embeddings(d / "e3.tsv", m)] == want
 
 
 # -- taxonomy and counts --------------------------------------------------------
@@ -308,6 +458,14 @@ def test_class_embeddings_duplicate_class(tmp_path):
     p = write(tmp_path / "e.tsv", "c0\tn1\t3\ta1:0:1.0\nc0\tn2\t4\ta1:1:1.0\n")
     with pytest.raises(FormatError, match="duplicate class_id"):
         cvio.load_class_embeddings(p, small_manifest())
+
+
+@pytest.mark.parametrize("ids", ["\t\t", "c0\t\t", "\tn0\t"])
+def test_class_embeddings_empty_ids(tmp_path, ids):
+    p = write(tmp_path / "e.tsv", f"c9\tn9\t1\ta1:0:1.0\n{ids}3\ta1:1:1.0\n")
+    with pytest.raises(FormatError, match="empty class_id or synset_id") as err:
+        cvio.load_class_embeddings(p, small_manifest())
+    assert err.value.line == 2
 
 
 def test_class_embeddings_empty_file(tmp_path):

@@ -306,7 +306,7 @@ class TestSimilarityMatrices:
         synsets = ["z", "x", "leaf", "y", "z", "root", "w", "b"]
         assert_matrices_match_pairs(t, synsets, ic)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1),
         nodes=st.integers(2, 30),

@@ -159,6 +159,59 @@ class TestConstruction:
             v = random_vector(rng, m)
             assert sparsify(m, densify(v)) == v
 
+    def test_layers_stored_in_manifest_order(self):
+        m = small_manifest()
+        entries = {"c1": ([1], [0.1]), "a2": ([0], [0.7]), "b1": ([3], [0.3]), "a1": ([2], [0.9])}
+        forward = SparseActivationVector(m, dict(sorted(entries.items())))
+        backward = SparseActivationVector(m, entries)
+        assert list(backward._data) == list(forward._data) == ["a1", "a2", "b1", "c1"]
+        other = random_vector(np.random.default_rng(3), m, 0.8)
+        assert dot(backward, other) == dot(forward, other)
+        assert l2_norm(backward) == l2_norm(forward)
+
+    def test_stored_arrays_cannot_be_made_writeable(self):
+        v = SparseActivationVector(small_manifest(), {"a1": ([2, 0], [1.0, 2.0]), "b1": ([1], [3.0])})
+        for layer_id in v.stored_layers:
+            for arr in v.layer(layer_id):
+                with pytest.raises(ValueError):
+                    arr.setflags(write=True)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            # the first faulty layer in the order given is reported, whatever its fault
+            ({"b1": ([40], [1.0]), "a1": ([1, 1], [1.0, 1.0])}, "'b1': feature index 40 out of range"),
+            ({"a1": ([1, 1], [1.0, 1.0]), "b1": ([40], [1.0])}, "'a1': duplicate feature index 1"),
+            ({"a2": ([0], [np.inf]), "a1": ([0], [-2.0])}, "'a2': non-finite"),
+            ({"a1": ([1, 1], [1.0, 1.0]), "zz": ([0], [1.0])}, "'a1': duplicate feature index 1"),
+            ({"zz": ([0], [1.0]), "a1": ([1, 1], [1.0, 1.0])}, "unknown layer_id 'zz'"),
+            ({"a1": ([0], [1.0]), "a2": ([0, 1], [1.0])}, "'a2': index/value arrays differ"),
+        ],
+    )
+    def test_first_faulty_layer_reported(self, entries, message):
+        with pytest.raises(ValidationError, match=message):
+            SparseActivationVector(small_manifest(), entries)
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_construction_matches_dense_reference(self, data):
+        m = small_manifest()
+        layer_ids = data.draw(st.permutations(m.layer_ids))
+        entries = {}
+        dense = np.zeros(m.total_dim)
+        for lid in layer_ids[: data.draw(st.integers(0, len(m)))]:
+            dim = m.dim_of(lid)
+            idx = data.draw(st.lists(st.integers(0, dim - 1), max_size=dim, unique=True))
+            val = [data.draw(st.sampled_from([0.0, 1e-300, 0.5, 3.0, 1e300])) for _ in idx]
+            dense[m.offset_of(lid) + np.array(idx, dtype=np.int64)] = val
+            entries[lid] = data.draw(st.sampled_from([(idx, val), list(zip(idx, val))]))
+        v = SparseActivationVector(m, entries)
+        assert np.array_equal(densify(v), dense)
+        assert v.stored_layers == tuple(v._data)
+        for lid in v.stored_layers:
+            idx, val = v.layer(lid)
+            assert np.all(np.diff(idx) > 0) and np.all(val > 0)
+
 
 class TestOperations:
     def test_manifest_mismatch_rejected(self):
@@ -306,7 +359,7 @@ class TestOperations:
 
 
 class TestLayerBlocks:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), cells=st.sampled_from([1, 3, 8, 1 << 21]))
     def test_blocks_are_the_dense_rows_without_empty_columns(self, seed, n, cells):
         rng = np.random.default_rng(seed)
