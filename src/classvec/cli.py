@@ -25,6 +25,8 @@ from .manifold import classical_mds, isomap
 from .pipeline import (
     AGGREGATION_MODES,
     DISTANCE_METRICS,
+    NORM_SCOPES,
+    NORM_STAGES,
     PipelineConfig,
     build_class_embeddings,
     build_distance_matrix,
@@ -107,7 +109,6 @@ def _parse_group_weights(text: str | None) -> dict[str, float] | None:
 
 
 def cmd_generate(args) -> None:
-    out = _out_dir(args)
     lo, hi = args.images
     try:
         spec = GeneratorSpec(
@@ -121,6 +122,7 @@ def cmd_generate(args) -> None:
         )
     except ClassVecError as exc:
         raise UsageError(str(exc)) from None
+    out = _out_dir(args)
     paths = generate(spec, out)
     for path in paths.values():
         _note(f"wrote {path}")
@@ -155,8 +157,8 @@ def _config_from_flags(args) -> PipelineConfig:
 
 
 def cmd_build(args) -> None:
-    out = _out_dir(args)
     config = _config_from_flags(args)
+    out = _out_dir(args)
     manifest = cvio.load_manifest(args.manifest)
     class_map = cvio.load_class_map(args.class_map)
     records = cvio.stream_activations(args.activations, manifest)
@@ -177,13 +179,13 @@ def cmd_build(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    out = _out_dir(args)
     counts_paths = list(args.counts or [])
     if args.measure in IC_MEASURES and not counts_paths:
         raise UsageError(f"--measure {args.measure} needs at least one --counts file")
     stems = [Path(p).stem for p in counts_paths]
     if len(set(stems)) != len(stems):
         raise UsageError("counts files must have distinct basenames (they name corpora)")
+    out = _out_dir(args)
 
     dmat = cvio.load_distance_matrix_csv(args.distances)
     taxonomy = cvio.load_taxonomy(args.taxonomy)
@@ -244,8 +246,8 @@ def _check_highlight_dims(args) -> None:
 
 
 def cmd_mds(args) -> None:
-    out = _out_dir(args)
     _check_highlight_dims(args)
+    out = _out_dir(args)
     dmat = cvio.load_distance_matrix_csv(args.distances)
     coords = classical_mds(dmat, args.dims)
     _embed_common(args, coords, out)
@@ -256,10 +258,10 @@ def cmd_mds(args) -> None:
 
 
 def cmd_isomap(args) -> None:
-    out = _out_dir(args)
     _check_highlight_dims(args)
     if args.k_neighbors < 1:
         raise UsageError(f"--k-neighbors must be >= 1, got {args.k_neighbors}")
+    out = _out_dir(args)
     dmat = cvio.load_distance_matrix_csv(args.distances)
     coords = isomap(
         dmat,
@@ -292,7 +294,6 @@ def _resolve_class(token: str, known: set, class_map: dict | None) -> str:
 
 
 def cmd_solve(args) -> None:
-    out = _out_dir(args)
     apply_match = _APPLY_RE.match(args.expression)
     solve_match = _SOLVE_RE.match(args.expression)
     if not apply_match and not solve_match:
@@ -301,6 +302,7 @@ def cmd_solve(args) -> None:
         )
     if args.top < 1:
         raise UsageError(f"--top must be >= 1, got {args.top}")
+    out = _out_dir(args)
     manifest = cvio.load_manifest(args.manifest)
     embeddings = cvio.load_class_embeddings(args.embeddings, manifest)
     class_map = cvio.load_class_map(args.class_map) if args.class_map else None
@@ -400,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-map", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--agg", choices=AGGREGATION_MODES, default="arithmetic")
-    p.add_argument("--norm", choices=("layer", "whole", "none"), default="layer")
-    p.add_argument("--norm-stage", choices=("image", "class", "none"), default="class")
+    p.add_argument("--norm", choices=NORM_SCOPES, default="layer")
+    p.add_argument("--norm-stage", choices=NORM_STAGES, default="class")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--metric", choices=DISTANCE_METRICS, default="cosine")
     p.add_argument("--groups", default=None, help="comma-separated layer groups")

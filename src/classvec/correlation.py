@@ -8,11 +8,12 @@ preserves; distributions of per-class rho values summarize a whole run.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CorrelationError, ValidationError
+from .errors import CorrelationError, UnknownClassError, ValidationError
 from .manifold import DistanceMatrix
 from .pipeline import (
     ClassEmbedding,
@@ -21,6 +22,8 @@ from .pipeline import (
     build_distance_matrix,
 )
 from .taxonomy import (
+    GRAPH_MEASURES,
+    IC_MEASURES,
     SIMILARITY_MEASURES,
     ICTable,
     Taxonomy,
@@ -28,9 +31,6 @@ from .taxonomy import (
     similarity_matrices,
 )
 from .vectors import LayerManifest, restrict_to_groups
-
-GRAPH_MEASURES = ("path", "lch", "wup")
-IC_MEASURES = ("res", "jcn", "lin")
 
 # 40 bins of width 0.05 covering [-1, 1]; edges are exact multiples of 0.05
 HISTOGRAM_EDGES = np.array([(i - 20) / 20.0 for i in range(41)])
@@ -160,24 +160,30 @@ def evaluate_class(
     _require_three_classes(dmatrix.size)
     row = dmatrix.row(class_id)
     idx = dmatrix.index_of(class_id)
-
-    def synset_of(label: str) -> str:
-        return class_to_synset[label] if class_to_synset is not None else label
-
-    own = synset_of(class_id)
+    synsets = _synsets_of(dmatrix.labels, class_to_synset)
     visual = []
     lexical = []
-    for j, other in enumerate(dmatrix.labels):
+    for j, other in enumerate(synsets):
         if j == idx:
             continue
         visual.append(1.0 - row[j])
-        lexical.append(similarity(taxonomy, measure, own, synset_of(other), ic=ic))
+        lexical.append(similarity(taxonomy, measure, synsets[idx], other, ic=ic))
     return spearman_rho(visual, lexical)
 
 
 def _require_three_classes(n: int) -> None:
     if n < 3:
         raise CorrelationError(f"need at least 3 classes to correlate, got {n}")
+
+
+def _synsets_of(labels: Sequence[str], class_to_synset: Mapping[str, str] | None) -> Sequence[str]:
+    """The synset of each matrix label; the labels themselves without a map."""
+    if class_to_synset is None:
+        return labels
+    missing = [label for label in labels if label not in class_to_synset]
+    if missing:
+        raise UnknownClassError(f"class {missing[0]!r} is not in the class map")
+    return [class_to_synset[label] for label in labels]
 
 
 def _class_rhos(dmatrix: DistanceMatrix, lexical: np.ndarray) -> list[float]:
@@ -224,10 +230,9 @@ def evaluate_all(
 
     _require_three_classes(dmatrix.size)
     labels = dmatrix.labels
-    synsets = [class_to_synset[c] for c in labels] if class_to_synset is not None else labels
     lexical = similarity_matrices(
         taxonomy,
-        synsets,
+        _synsets_of(labels, class_to_synset),
         [(measure, ics[corpus] if corpus is not None else None) for measure, corpus in settings],
     )
     return [
@@ -272,14 +277,9 @@ def layer_subset_sweep(
     """
     if not group_sets:
         raise ValidationError("group_sets must name at least one subset")
-    base_config = PipelineConfig(
-        aggregation=config.aggregation,
-        norm_stage=config.norm_stage,
-        norm_scope=config.norm_scope,
-        threshold=config.threshold,
-        groups=None,
+    unrestricted = build_class_embeddings(
+        list(records), replace(config, groups=None), class_map, manifest
     )
-    unrestricted = build_class_embeddings(list(records), base_config, class_map, manifest)
     _require_three_classes(len(unrestricted))
     # rows in build_distance_matrix's order, which sorts by class_id
     labels = sorted(e.class_id for e in unrestricted)

@@ -7,6 +7,14 @@ CSVs, equation tables, and 2-D scatter SVGs. All text is UTF-8 with LF
 line endings; reals use Python's shortest round-trip representation except
 CSV matrix cells, which carry 9 significant digits.
 
+Every tab-separated loader reads its file one line at a time: lines are
+numbered from 1, the trailing LF is dropped, blank lines are skipped, and
+every other line must split at its tabs into the format's fixed number of
+fields. CSV loaders read a header row, skip empty rows and require as many
+cells in every row as the header has. Every fault is a FormatError naming
+the path and line (line 1 for an empty file). Writers end every line, the
+last included, with LF.
+
 Activations and class embeddings end in the same triplet field:
 
     triplets := "" | triplet (" " triplet)*
@@ -72,32 +80,74 @@ def _open_write(path) -> IO[str]:
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _tsv_rows(path, n_fields: int, expected: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line, read one at a time.
+
+    A line that does not split into ``n_fields`` fields raises a FormatError
+    whose message is ``expected`` formatted with the count it has.
+    """
+    with _open_read(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise FormatError(path, lineno, expected.format(len(fields)))
+            yield lineno, fields
+
+
+def _csv_rows(path, what: str) -> Iterator:
+    """The header row, then (row number, cells) of each non-empty row, read
+    one at a time; ``what`` names the file in the empty-file error."""
+    with _open_read(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(path, 1, f"{what} is empty")
+        yield header
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise FormatError(path, lineno, f"expected {len(header)} cells, got {len(row)}")
+            yield lineno, row
+
+
+def _write_lines(path, lines: Iterable[str]) -> None:
+    """Each line followed by LF, consumed one at a time."""
+    with _open_write(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    with _open_write(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # -- manifest ---------------------------------------------------------------
 
 
 def load_manifest(path) -> LayerManifest:
     """Parse layer_id TAB group TAB dim lines, keeping file order."""
     layers = []
-    with _open_read(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")
-            layer_id, group, dim_text = parts
-            if not _is_layer_id(layer_id):
-                raise FormatError(path, lineno, f"layer_id {layer_id!r} is empty or contains whitespace")
-            try:
-                dim = int(dim_text)
-            except ValueError:
-                raise FormatError(path, lineno, f"dim {dim_text!r} is not an integer") from None
-            if dim < 1:
-                raise FormatError(path, lineno, f"layer {layer_id!r} has non-positive dim {dim}")
-            if any(layer_id == seen for seen, _, _ in layers):
-                raise FormatError(path, lineno, f"duplicate layer_id {layer_id!r}")
-            layers.append((layer_id, group, dim))
+    for lineno, (layer_id, group, dim_text) in _tsv_rows(
+        path, 3, "expected 3 tab-separated fields, got {}"
+    ):
+        if not _is_layer_id(layer_id):
+            raise FormatError(path, lineno, f"layer_id {layer_id!r} is empty or contains whitespace")
+        try:
+            dim = int(dim_text)
+        except ValueError:
+            raise FormatError(path, lineno, f"dim {dim_text!r} is not an integer") from None
+        if dim < 1:
+            raise FormatError(path, lineno, f"layer {layer_id!r} has non-positive dim {dim}")
+        if any(layer_id == seen for seen, _, _ in layers):
+            raise FormatError(path, lineno, f"duplicate layer_id {layer_id!r}")
+        layers.append((layer_id, group, dim))
     if not layers:
         raise FormatError(path, 1, "manifest file is empty")
     return LayerManifest(layers)
@@ -106,9 +156,7 @@ def load_manifest(path) -> LayerManifest:
 def write_manifest(manifest: LayerManifest, path) -> None:
     for spec in manifest:
         _check_layer_id(spec.layer_id)
-    with _open_write(path) as fh:
-        for spec in manifest:
-            fh.write(f"{spec.layer_id}\t{spec.group}\t{spec.dim}\n")
+    _write_lines(path, (f"{spec.layer_id}\t{spec.group}\t{spec.dim}" for spec in manifest))
 
 
 # -- activations ------------------------------------------------------------
@@ -211,28 +259,23 @@ def stream_activations(path, manifest: LayerManifest) -> Iterator[ActivationReco
     Line format: image_id TAB class_id TAB triplets (see the module
     docstring; the third field may be empty).
     """
-    with _open_read(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")
-            image_id, class_id, payload = parts
-            if not image_id or not class_id:
-                raise FormatError(path, lineno, "empty image_id or class_id")
-            vector = _parse_triplets(path, lineno, payload, manifest)
-            yield ActivationRecord(image_id, class_id, vector)
+    for lineno, (image_id, class_id, payload) in _tsv_rows(
+        path, 3, "expected 3 tab-separated fields, got {}"
+    ):
+        if not image_id or not class_id:
+            raise FormatError(path, lineno, "empty image_id or class_id")
+        yield ActivationRecord(image_id, class_id, _parse_triplets(path, lineno, payload, manifest))
 
 
 def write_activations(records: Iterable[ActivationRecord], path) -> None:
-    with _open_write(path) as fh:
-        for rec in records:
-            fh.write(
-                f"{_check_id('image_id', rec.image_id)}\t"
-                f"{_check_id('class_id', rec.class_id)}\t{_format_triplets(rec.vector)}\n"
-            )
+    _write_lines(
+        path,
+        (
+            f"{_check_id('image_id', rec.image_id)}\t"
+            f"{_check_id('class_id', rec.class_id)}\t{_format_triplets(rec.vector)}"
+            for rec in records
+        ),
+    )
 
 
 # -- taxonomy edges ---------------------------------------------------------
@@ -240,17 +283,10 @@ def write_activations(records: Iterable[ActivationRecord], path) -> None:
 
 def load_taxonomy_edges(path) -> list[tuple[str, str]]:
     edges = []
-    with _open_read(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(path, lineno, f"expected child TAB parent, got {len(parts)} fields")
-            if not parts[0] or not parts[1]:
-                raise FormatError(path, lineno, "empty synset id")
-            edges.append((parts[0], parts[1]))
+    for lineno, (child, parent) in _tsv_rows(path, 2, "expected child TAB parent, got {} fields"):
+        if not child or not parent:
+            raise FormatError(path, lineno, "empty synset id")
+        edges.append((child, parent))
     if not edges:
         raise FormatError(path, 1, "taxonomy file is empty")
     return edges
@@ -261,9 +297,9 @@ def load_taxonomy(path) -> Taxonomy:
 
 
 def write_taxonomy_edges(edges: Iterable[tuple[str, str]], path) -> None:
-    with _open_write(path) as fh:
-        for child, parent in edges:
-            fh.write(f"{_check_id('synset', child)}\t{_check_id('synset', parent)}\n")
+    _write_lines(
+        path, (f"{_check_id('synset', child)}\t{_check_id('synset', parent)}" for child, parent in edges)
+    )
 
 
 # -- corpus counts ----------------------------------------------------------
@@ -271,33 +307,23 @@ def write_taxonomy_edges(edges: Iterable[tuple[str, str]], path) -> None:
 
 def load_counts(path) -> dict[str, int]:
     counts: dict[str, int] = {}
-    with _open_read(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(path, lineno, f"expected synset TAB count, got {len(parts)} fields")
-            synset, count_text = parts
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise FormatError(path, lineno, f"count {count_text!r} is not an integer") from None
-            if count < 0:
-                raise FormatError(path, lineno, f"negative count {count} for {synset!r}")
-            if synset in counts:
-                raise FormatError(path, lineno, f"duplicate synset {synset!r}")
-            counts[synset] = count
+    for lineno, (synset, count_text) in _tsv_rows(path, 2, "expected synset TAB count, got {} fields"):
+        try:
+            count = int(count_text)
+        except ValueError:
+            raise FormatError(path, lineno, f"count {count_text!r} is not an integer") from None
+        if count < 0:
+            raise FormatError(path, lineno, f"negative count {count} for {synset!r}")
+        if synset in counts:
+            raise FormatError(path, lineno, f"duplicate synset {synset!r}")
+        counts[synset] = count
     if not counts:
         raise FormatError(path, 1, "counts file is empty")
     return counts
 
 
 def write_counts(counts: Mapping[str, int], path) -> None:
-    with _open_write(path) as fh:
-        for synset in sorted(counts):
-            fh.write(f"{_check_id('synset', synset)}\t{int(counts[synset])}\n")
+    _write_lines(path, (f"{_check_id('synset', s)}\t{int(counts[s])}" for s in sorted(counts)))
 
 
 # -- class map ---------------------------------------------------------------
@@ -307,42 +333,34 @@ def load_class_map(path, taxonomy: Taxonomy | None = None) -> dict[str, str]:
     """class_id -> synset_id, validated bijective (and in-taxonomy if given)."""
     mapping: dict[str, str] = {}
     seen_synsets: dict[str, int] = {}
-    with _open_read(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(
-                    path, lineno, f"expected class_id TAB synset_id, got {len(parts)} fields"
-                )
-            class_id, synset_id = parts
-            if not class_id or not synset_id:
-                raise FormatError(path, lineno, "empty class_id or synset_id")
-            if class_id in mapping:
-                raise FormatError(path, lineno, f"duplicate class_id {class_id!r}")
-            if synset_id in seen_synsets:
-                raise FormatError(
-                    path,
-                    lineno,
-                    f"synset {synset_id!r} already mapped at line {seen_synsets[synset_id]}",
-                )
-            if taxonomy is not None and synset_id not in taxonomy:
-                raise FormatError(path, lineno, f"synset {synset_id!r} not in taxonomy")
-            mapping[class_id] = synset_id
-            seen_synsets[synset_id] = lineno
+    for lineno, (class_id, synset_id) in _tsv_rows(
+        path, 2, "expected class_id TAB synset_id, got {} fields"
+    ):
+        if not class_id or not synset_id:
+            raise FormatError(path, lineno, "empty class_id or synset_id")
+        if class_id in mapping:
+            raise FormatError(path, lineno, f"duplicate class_id {class_id!r}")
+        if synset_id in seen_synsets:
+            raise FormatError(
+                path, lineno, f"synset {synset_id!r} already mapped at line {seen_synsets[synset_id]}"
+            )
+        if taxonomy is not None and synset_id not in taxonomy:
+            raise FormatError(path, lineno, f"synset {synset_id!r} not in taxonomy")
+        mapping[class_id] = synset_id
+        seen_synsets[synset_id] = lineno
     if not mapping:
         raise FormatError(path, 1, "class map file is empty")
     return mapping
 
 
 def write_class_map(mapping: Mapping[str, str], path) -> None:
-    with _open_write(path) as fh:
-        for class_id in sorted(mapping):
-            fh.write(
-                f"{_check_id('class_id', class_id)}\t{_check_id('synset_id', mapping[class_id])}\n"
-            )
+    _write_lines(
+        path,
+        (
+            f"{_check_id('class_id', class_id)}\t{_check_id('synset_id', mapping[class_id])}"
+            for class_id in sorted(mapping)
+        ),
+    )
 
 
 # -- class embeddings --------------------------------------------------------
@@ -350,41 +368,36 @@ def write_class_map(mapping: Mapping[str, str], path) -> None:
 
 def write_class_embeddings(embeddings: Sequence[ClassEmbedding], path) -> None:
     """class_id TAB synset_id TAB image_count TAB triplets, sorted by class."""
-    with _open_write(path) as fh:
-        for embedding in sorted(embeddings, key=lambda e: e.class_id):
-            fh.write(
-                f"{_check_id('class_id', embedding.class_id)}\t"
-                f"{_check_id('synset_id', embedding.synset_id)}\t"
-                f"{embedding.image_count}\t{_format_triplets(embedding.vector)}\n"
-            )
+    _write_lines(
+        path,
+        (
+            f"{_check_id('class_id', e.class_id)}\t{_check_id('synset_id', e.synset_id)}\t"
+            f"{e.image_count}\t{_format_triplets(e.vector)}"
+            for e in sorted(embeddings, key=lambda e: e.class_id)
+        ),
+    )
 
 
 def load_class_embeddings(path, manifest: LayerManifest) -> list[ClassEmbedding]:
     out = []
     seen: set[str] = set()
-    with _open_read(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise FormatError(path, lineno, f"expected 4 tab-separated fields, got {len(parts)}")
-            class_id, synset_id, count_text, payload = parts
-            if not class_id or not synset_id:
-                raise FormatError(path, lineno, "empty class_id or synset_id")
-            if class_id in seen:
-                raise FormatError(path, lineno, f"duplicate class_id {class_id!r}")
-            seen.add(class_id)
-            try:
-                image_count = int(count_text)
-            except ValueError:
-                raise FormatError(path, lineno, f"image_count {count_text!r} is not an integer") from None
-            vector = _parse_triplets(path, lineno, payload, manifest)
-            try:
-                out.append(ClassEmbedding(class_id, synset_id, vector, image_count))
-            except ValidationError as exc:
-                raise FormatError(path, lineno, str(exc)) from None
+    for lineno, (class_id, synset_id, count_text, payload) in _tsv_rows(
+        path, 4, "expected 4 tab-separated fields, got {}"
+    ):
+        if not class_id or not synset_id:
+            raise FormatError(path, lineno, "empty class_id or synset_id")
+        if class_id in seen:
+            raise FormatError(path, lineno, f"duplicate class_id {class_id!r}")
+        seen.add(class_id)
+        try:
+            image_count = int(count_text)
+        except ValueError:
+            raise FormatError(path, lineno, f"image_count {count_text!r} is not an integer") from None
+        vector = _parse_triplets(path, lineno, payload, manifest)
+        try:
+            out.append(ClassEmbedding(class_id, synset_id, vector, image_count))
+        except ValidationError as exc:
+            raise FormatError(path, lineno, str(exc)) from None
     if not out:
         raise FormatError(path, 1, "class embeddings file is empty")
     return out
@@ -393,38 +406,22 @@ def load_class_embeddings(path, manifest: LayerManifest) -> list[ClassEmbedding]
 # -- distance matrix CSV ------------------------------------------------------
 
 
-def write_distance_matrix_csv(matrix: DistanceMatrix, path, labels: Sequence[str] | None = None) -> None:
+def write_distance_matrix_csv(matrix: DistanceMatrix, path) -> None:
     """Header row of labels, then one row of %.9g cells per class."""
-    if labels is not None and tuple(labels) != matrix.labels:
-        raise ValidationError("labels argument does not match the matrix labels")
     # mirror the upper triangle so the file is exactly symmetric
     vals = np.triu(matrix.values) + np.triu(matrix.values, 1).T
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(matrix.labels)
-        for i in range(matrix.size):
-            writer.writerow([f"{v:.9g}" for v in vals[i]])
+    _write_csv(path, matrix.labels, ([f"{v:.9g}" for v in row] for row in vals))
 
 
 def load_distance_matrix_csv(path) -> DistanceMatrix:
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
+    reader = _csv_rows(path, "distance matrix CSV")
+    labels = next(reader)
+    rows = []
+    for lineno, row in reader:
         try:
-            labels = next(reader)
-        except StopIteration:
-            raise FormatError(path, 1, "distance matrix CSV is empty") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(labels):
-                raise FormatError(
-                    path, lineno, f"expected {len(labels)} cells, got {len(row)}"
-                )
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise FormatError(path, lineno, "non-numeric cell") from None
+            rows.append([float(c) for c in row])
+        except ValueError:
+            raise FormatError(path, lineno, "non-numeric cell") from None
     if len(rows) != len(labels):
         raise FormatError(path, 1, f"expected {len(labels)} rows, got {len(rows)}")
     try:
@@ -441,47 +438,43 @@ def write_coordinates_csv(coords: EmbeddingCoordinates, path) -> None:
         axes = ["x", "y", "z"][: coords.dims]
     else:
         axes = [f"x{i}" for i in range(coords.dims)]
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", *axes])
-        for label, row in zip(coords.labels, coords.coords):
-            writer.writerow([label, *(_fmt(v) for v in row)])
+    _write_csv(
+        path,
+        ["label", *axes],
+        ([label, *(_fmt(v) for v in row)] for label, row in zip(coords.labels, coords.coords)),
+    )
 
 
 def load_coordinates_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
+    reader = _csv_rows(path, "coordinates CSV")
+    next(reader)
+    labels = []
+    rows = []
+    for lineno, row in reader:
+        labels.append(row[0])
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(path, 1, "coordinates CSV is empty") from None
-        labels = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(path, lineno, f"expected {len(header)} cells, got {len(row)}")
-            labels.append(row[0])
-            try:
-                rows.append([float(c) for c in row[1:]])
-            except ValueError:
-                raise FormatError(path, lineno, "non-numeric coordinate") from None
+            rows.append([float(c) for c in row[1:]])
+        except ValueError:
+            raise FormatError(path, lineno, "non-numeric coordinate") from None
     return tuple(labels), np.array(rows)
 
 
 def write_eigenvalues_csv(coords: EmbeddingCoordinates, path) -> None:
     """Full descending spectrum; the first `dims` rows back the coordinates."""
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "eigenvalue", "used"])
-        for i, value in enumerate(coords.eigenvalues):
-            writer.writerow([i + 1, _fmt(value), "yes" if i < coords.dims else "no"])
+    _write_csv(
+        path,
+        ["rank", "eigenvalue", "used"],
+        (
+            [i + 1, _fmt(value), "yes" if i < coords.dims else "no"]
+            for i, value in enumerate(coords.eigenvalues)
+        ),
+    )
 
 
 # -- scatter SVG ---------------------------------------------------------------
 
 SVG_SIZE = 800
+SVG_POINT_RADIUS = 4
 SVG_MARGIN_FRACTION = 0.05
 DEFAULT_SHADE = "#bbbbbb"
 HIGHLIGHT_SHADES = ("#000000", "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00")
@@ -489,10 +482,8 @@ HIGHLIGHT_SHADES = ("#000000", "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7
 
 def write_scatter_svg(
     coords: EmbeddingCoordinates,
-    highlight_sets: Mapping[str, Iterable[str]] | None = None,
-    path=None,
-    *,
-    point_radius: float = 4.0,
+    highlight_sets: Mapping[str, Iterable[str]] | None,
+    path,
 ) -> None:
     """One circle per class, geometry-preserving fit with a 5% margin.
 
@@ -501,8 +492,6 @@ def write_scatter_svg(
     """
     if coords.dims != 2:
         raise ValidationError(f"scatter SVG requires 2-D coordinates, got {coords.dims}-D")
-    if path is None:
-        raise ValidationError("path is required")
     highlight_sets = dict(highlight_sets or {})
     known = set(coords.labels)
     shade_of: dict[str, str] = {}
@@ -538,7 +527,7 @@ def write_scatter_svg(
         sx, sy = to_svg(float(px), float(py))
         fill = shade_of.get(label, DEFAULT_SHADE)
         lines.append(
-            f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="{point_radius:g}" fill="{fill}">'
+            f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="{SVG_POINT_RADIUS}" fill="{fill}">'
             f"<title>{html.escape(label, quote=False)}</title></circle>"
         )
     for i, (name, shade) in enumerate(legend):
@@ -549,8 +538,7 @@ def write_scatter_svg(
             f"{html.escape(name, quote=False)}</text>"
         )
     lines.append("</svg>")
-    with _open_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 # -- rho tables -----------------------------------------------------------------
@@ -558,51 +546,52 @@ def write_scatter_svg(
 
 def write_rho_csv(distributions: Sequence[RhoDistribution], path) -> None:
     """Long form: class_id, measure, corpus, rho."""
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class_id", "measure", "corpus", "rho"])
-        for dist in distributions:
-            corpus = dist.corpus if dist.corpus is not None else ""
-            for cid, rho in zip(dist.class_ids, dist.rhos):
-                writer.writerow([cid, dist.measure, corpus, _fmt(rho)])
+    _write_csv(
+        path,
+        ["class_id", "measure", "corpus", "rho"],
+        (
+            [cid, dist.measure, dist.corpus or "", _fmt(rho)]
+            for dist in distributions
+            for cid, rho in zip(dist.class_ids, dist.rhos)
+        ),
+    )
 
 
 def write_rho_summary_csv(distributions: Sequence[RhoDistribution], path) -> None:
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["measure", "corpus", "n_classes", "mean_rho"])
-        for dist in distributions:
-            corpus = dist.corpus if dist.corpus is not None else ""
-            writer.writerow([dist.measure, corpus, len(dist), _fmt(dist.mean)])
+    _write_csv(
+        path,
+        ["measure", "corpus", "n_classes", "mean_rho"],
+        ([dist.measure, dist.corpus or "", len(dist), _fmt(dist.mean)] for dist in distributions),
+    )
 
 
 def write_histogram_csv(dist: RhoDistribution, path) -> None:
     """Rows bin_lo, bin_hi, count over the fixed [-1, 1] 0.05-wide bins."""
     edges, counts = dist.histogram()
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, count in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([_fmt(lo), _fmt(hi), int(count)])
+    _write_csv(
+        path,
+        ["bin_lo", "bin_hi", "count"],
+        ([_fmt(lo), _fmt(hi), int(count)] for lo, hi, count in zip(edges[:-1], edges[1:], counts)),
+    )
 
 
 def write_sweep_csv(entries: Sequence[SweepEntry], path) -> None:
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["groups", "n_classes", "mean_rho"])
-        for entry in entries:
-            writer.writerow([entry.label, entry.n_classes, _fmt(entry.mean_rho)])
+    _write_csv(
+        path,
+        ["groups", "n_classes", "mean_rho"],
+        ([entry.label, entry.n_classes, _fmt(entry.mean_rho)] for entry in entries),
+    )
 
 
 # -- equation results --------------------------------------------------------------
 
 
 def write_equation_csv(result: EquationResult, path) -> None:
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "class_id", "similarity"])
-        for rank, (cid, sim) in enumerate(result.neighbors, start=1):
-            writer.writerow([rank, cid, _fmt(sim)])
+    _write_csv(
+        path,
+        ["rank", "class_id", "similarity"],
+        ([rank, cid, _fmt(sim)] for rank, (cid, sim) in enumerate(result.neighbors, start=1)),
+    )
 
 
 def format_equation_table(result: EquationResult) -> str:

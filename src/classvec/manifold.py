@@ -260,33 +260,33 @@ def knn_graph(d: DistanceMatrix, k_neighbors: int) -> NeighborGraph:
     if k_neighbors < 1:
         raise ValidationError(f"k_neighbors must be >= 1, got {k_neighbors}")
     n = d.size
-    vals = d.values
-    adj: list[dict[int, float]] = [{} for _ in range(n)]
-    for i in range(n):
-        order = np.argsort(vals[i], kind="stable")
-        picked = 0
-        for j in order.tolist():
-            if j == i:
-                continue
-            w = vals[min(i, j), max(i, j)]
-            adj[i][j] = w
-            adj[j][i] = w
-            picked += 1
-            if picked == k_neighbors:
-                break
-    return NeighborGraph(d.labels, [sorted(a.items()) for a in adj])
+    picked = np.zeros((n, n), dtype=bool)
+    picked[np.arange(n)[:, None], _neighbor_ranks(d)[:, :k_neighbors]] = True
+    rows, cols = np.nonzero(picked | picked.T)
+    weights = d.values[np.minimum(rows, cols), np.maximum(rows, cols)]
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
+        adjacency[i].append((j, w))
+    return NeighborGraph(d.labels, adjacency)
+
+
+def _neighbor_ranks(d: DistanceMatrix) -> np.ndarray:
+    """Row i lists the other points nearest first, distance ties by index:
+    the stable order of row i of ``d`` with i itself skipped."""
+    n = d.size
+    order = np.argsort(d.values, axis=1, kind="stable")
+    return order[order != np.arange(n)[:, None]].reshape(n, n - 1)
 
 
 def _connecting_k(d: DistanceMatrix) -> int:
     """Smallest k_neighbors whose knn_graph over ``d`` is connected.
 
-    Joins every point to its next-ranked neighbor (knn_graph's stable order,
-    skipping the point itself), one rank at a time, until one component is
-    left; the graphs only grow with k, so every larger k connects too.
+    Joins every point to its next-ranked neighbor (knn_graph's order), one
+    rank at a time, until one component is left; the graphs only grow with k,
+    so every larger k connects too.
     """
     n = d.size
-    order = np.argsort(d.values, axis=1, kind="stable")
-    ranked = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+    ranked = _neighbor_ranks(d)
     parent = list(range(n))
 
     def root(u: int) -> int:

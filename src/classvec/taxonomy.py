@@ -271,10 +271,12 @@ def lin_sim(taxonomy: Taxonomy, a: str, b: str, ic: ICTable) -> float:
     return num / denom
 
 
-SIMILARITY_MEASURES: tuple[str, ...] = ("path", "lch", "wup", "res", "jcn", "lin")
-
 _GRAPH_MEASURES = {"path": path_sim, "lch": lch_sim, "wup": wup_sim}
 _IC_MEASURES = {"res": res_sim, "jcn": jcn_sim, "lin": lin_sim}
+
+GRAPH_MEASURES: tuple[str, ...] = tuple(_GRAPH_MEASURES)
+IC_MEASURES: tuple[str, ...] = tuple(_IC_MEASURES)
+SIMILARITY_MEASURES: tuple[str, ...] = GRAPH_MEASURES + IC_MEASURES
 
 
 def _check_measure(measure: str, ic: ICTable | None) -> None:

@@ -220,6 +220,22 @@ def test_eval_duplicate_corpus_stems_rejected(dataset, built, tmp_path, capsys):
     assert "distinct basenames" in capsys.readouterr().err
 
 
+def test_eval_class_missing_from_class_map_is_runtime_error(dataset, built, tmp_path, capsys):
+    lines = (dataset / "class_map.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    partial = tmp_path / "class_map.tsv"
+    partial.write_text("".join(lines[1:]), encoding="utf-8")
+    code = main([
+        "eval",
+        "--distances", str(built / "distance_matrix.csv"),
+        "--taxonomy", str(dataset / "taxonomy.tsv"),
+        "--class-map", str(partial),
+        "--out", str(tmp_path / "e"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("classvec: error: ") and "'c0000'" in err
+
+
 # -- mds / isomap ------------------------------------------------------------------
 
 
@@ -420,6 +436,27 @@ def test_rerun_rejects_missing_file(tmp_path, capsys):
 
 
 # -- harness -------------------------------------------------------------------------
+
+
+# one flag fault per subcommand that main() rejects after argparse accepted it
+USAGE_FAULTS = {
+    "generate": ["--classes", "1"],
+    "build": ["--activations", "a.tsv", "--manifest", "m.tsv", "--class-map", "c.tsv",
+              "--norm", "none"],
+    "eval": ["--distances", "d.csv", "--taxonomy", "t.tsv", "--measure", "res"],
+    "mds": ["--distances", "d.csv", "--dims", "3", "--highlight", "h.tsv"],
+    "isomap": ["--distances", "d.csv", "--k-neighbors", "0"],
+    "solve": ["a + b", "--embeddings", "e.tsv", "--manifest", "m.tsv"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(USAGE_FAULTS))
+def test_usage_error_creates_no_output_dir(tmp_path, capsys, subcommand):
+    out = tmp_path / "out"
+    code = main([subcommand, *USAGE_FAULTS[subcommand], "--out", str(out)])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_two(capsys):

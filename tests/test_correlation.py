@@ -5,6 +5,8 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+import classvec
+from classvec import correlation, taxonomy
 from classvec.correlation import (
     HISTOGRAM_EDGES,
     RhoDistribution,
@@ -14,7 +16,7 @@ from classvec.correlation import (
     rank_with_ties,
     spearman_rho,
 )
-from classvec.errors import CorrelationError, ValidationError
+from classvec.errors import CorrelationError, UnknownClassError, ValidationError
 from classvec.manifold import DistanceMatrix
 from classvec.pipeline import ClassEmbedding, PipelineConfig, build_distance_matrix
 from classvec.taxonomy import SIMILARITY_MEASURES, ICTable, Taxonomy
@@ -156,6 +158,13 @@ def matrix_from_coords(points: dict[str, np.ndarray]) -> DistanceMatrix:
     return DistanceMatrix(labels, vals)
 
 
+def test_measure_families_come_from_the_taxonomy():
+    for module in (correlation, classvec):
+        assert module.GRAPH_MEASURES is taxonomy.GRAPH_MEASURES
+        assert module.IC_MEASURES is taxonomy.IC_MEASURES
+    assert taxonomy.GRAPH_MEASURES + taxonomy.IC_MEASURES == SIMILARITY_MEASURES
+
+
 class TestEvaluateClass:
     def test_hand_computed_three_class_case(self, zoo):
         # dog sits nearer cat than car in vector space and in the taxonomy,
@@ -201,6 +210,17 @@ class TestEvaluateClass:
         d = matrix_from_coords(points)
         cmap = {"c_dog": "dog", "c_cat": "cat", "c_car": "car"}
         assert evaluate_class("c_dog", d, "path", zoo, class_to_synset=cmap) == 1.0
+
+    @pytest.mark.parametrize("evaluate", ["class", "all"])
+    def test_label_missing_from_class_map_is_named(self, zoo, evaluate):
+        points = {"c_car": np.array([5.0]), "c_cat": np.array([1.0]), "c_dog": np.array([0.0])}
+        d = matrix_from_coords(points)
+        cmap = {"c_dog": "dog"}  # c_car and c_cat missing; c_car comes first
+        with pytest.raises(UnknownClassError, match="'c_car'"):
+            if evaluate == "class":
+                evaluate_class("c_dog", d, "path", zoo, class_to_synset=cmap)
+            else:
+                evaluate_all(d, zoo, class_to_synset=cmap)
 
 
 class TestEvaluateAll:

@@ -34,6 +34,70 @@ def write(path, text):
     return path
 
 
+# -- line rules shared by every loader ----------------------------------------
+
+# loader, a good first line, a third line with the wrong field or cell count,
+# its message, and the empty-file message (None: an empty file is no records)
+SHAPES = {
+    "manifest": (
+        cvio.load_manifest, "a\tlow\t4", "b\tlow",
+        "expected 3 tab-separated fields, got 2", "manifest file is empty",
+    ),
+    "activations": (
+        lambda p: list(cvio.stream_activations(p, small_manifest())),
+        "img0\tcls0\ta1:0:1.0", "img1\tcls0",
+        "expected 3 tab-separated fields, got 2", None,
+    ),
+    "taxonomy": (
+        cvio.load_taxonomy_edges, "dog\tanimal", "cat\tanimal\tpet",
+        "expected child TAB parent, got 3 fields", "taxonomy file is empty",
+    ),
+    "counts": (
+        cvio.load_counts, "a\t3", "b", "expected synset TAB count, got 1 fields",
+        "counts file is empty",
+    ),
+    "class-map": (
+        cvio.load_class_map, "c0\tdog", "c1\tcat\t", "expected class_id TAB synset_id, got 3 fields",
+        "class map file is empty",
+    ),
+    "embeddings": (
+        lambda p: cvio.load_class_embeddings(p, small_manifest()),
+        "c0\tn0\t3\ta1:0:1.0", "c1\tn1\t3",
+        "expected 4 tab-separated fields, got 3", "class embeddings file is empty",
+    ),
+    "distance-csv": (
+        cvio.load_distance_matrix_csv, "a,b", "0", "expected 2 cells, got 1",
+        "distance matrix CSV is empty",
+    ),
+    "coordinates-csv": (
+        cvio.load_coordinates_csv, "label,x,y", "p0,1.0,2.0,3.0", "expected 3 cells, got 4",
+        "coordinates CSV is empty",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_wrong_field_count_after_blank_line_names_line_three(tmp_path, shape):
+    load, first, bad, message, _ = SHAPES[shape]
+    p = write(tmp_path / "f.txt", f"{first}\n\n{bad}\n")
+    with pytest.raises(FormatError) as err:
+        load(p)
+    assert str(err.value) == f"{p}:3: {message}"
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_empty_file_message(tmp_path, shape):
+    load, _, _, _, message = SHAPES[shape]
+    p = write(tmp_path / "f.txt", "")
+    if message is None:
+        assert load(p) == []
+        return
+    with pytest.raises(FormatError) as err:
+        load(p)
+    assert str(err.value) == f"{p}:1: {message}"
+
+
 # -- manifest ----------------------------------------------------------------
 
 
@@ -498,12 +562,6 @@ def test_distance_csv_round_trip_close(tmp_path):
     assert loaded.labels == m.labels
     assert np.max(np.abs(loaded.values - m.values)) <= 1e-8
     assert np.all(np.diag(loaded.values) == 0.0)
-
-
-def test_distance_csv_label_argument_must_match(tmp_path):
-    m = DistanceMatrix(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValidationError):
-        cvio.write_distance_matrix_csv(m, tmp_path / "d.csv", labels=["b", "a"])
 
 
 def test_distance_csv_bad_cells(tmp_path):
