@@ -158,12 +158,12 @@ def _config_from_flags(args) -> PipelineConfig:
 
 def cmd_build(args) -> None:
     config = _config_from_flags(args)
-    out = _out_dir(args)
     manifest = cvio.load_manifest(args.manifest)
     class_map = cvio.load_class_map(args.class_map)
     records = cvio.stream_activations(args.activations, manifest)
     embeddings = build_class_embeddings(records, config, class_map, manifest)
     _note(f"built {len(embeddings)} class embeddings")
+    out = _out_dir(args)
     _write(cvio.write_class_embeddings, embeddings, out / "class_embeddings.tsv")
     dmat = build_distance_matrix(embeddings, args.metric)
     _write(cvio.write_distance_matrix_csv, dmat, out / "distance_matrix.csv")
@@ -185,7 +185,6 @@ def cmd_eval(args) -> None:
     stems = [Path(p).stem for p in counts_paths]
     if len(set(stems)) != len(stems):
         raise UsageError("counts files must have distinct basenames (they name corpora)")
-    out = _out_dir(args)
 
     dmat = cvio.load_distance_matrix_csv(args.distances)
     taxonomy = cvio.load_taxonomy(args.taxonomy)
@@ -201,6 +200,7 @@ def cmd_eval(args) -> None:
         dmat, taxonomy, measures=measures, ics=ics or None, class_to_synset=class_map
     )
     _note(f"evaluated {len(distributions)} settings over {dmat.size} classes")
+    out = _out_dir(args)
     for dist in distributions:
         _write(cvio.write_rho_csv, [dist], out / f"rho_{dist.label}.csv")
         _write(cvio.write_histogram_csv, dist, out / f"hist_{dist.label}.csv")
@@ -232,12 +232,16 @@ def _load_highlights(path) -> dict[str, list[str]]:
     return sets
 
 
-def _embed_common(args, coords, out: Path) -> None:
+def _embed_common(args, coords, highlights) -> None:
+    out = _out_dir(args)
     _write(cvio.write_coordinates_csv, coords, out / "coordinates.csv")
     _write(cvio.write_eigenvalues_csv, coords, out / "eigenvalues.csv")
     if coords.dims == 2:
-        highlights = _load_highlights(args.highlight) if args.highlight else None
         _write(cvio.write_scatter_svg, coords, highlights, out / "scatter.svg")
+    inputs = {"distances": args.distances}
+    if args.highlight:
+        inputs["highlight"] = args.highlight
+    _write_run_manifest(out, args.subcommand, args, inputs)
 
 
 def _check_highlight_dims(args) -> None:
@@ -247,33 +251,24 @@ def _check_highlight_dims(args) -> None:
 
 def cmd_mds(args) -> None:
     _check_highlight_dims(args)
-    out = _out_dir(args)
     dmat = cvio.load_distance_matrix_csv(args.distances)
-    coords = classical_mds(dmat, args.dims)
-    _embed_common(args, coords, out)
-    inputs = {"distances": args.distances}
-    if args.highlight:
-        inputs["highlight"] = args.highlight
-    _write_run_manifest(out, "mds", args, inputs)
+    highlights = _load_highlights(args.highlight) if args.highlight else None
+    _embed_common(args, classical_mds(dmat, args.dims), highlights)
 
 
 def cmd_isomap(args) -> None:
     _check_highlight_dims(args)
     if args.k_neighbors < 1:
         raise UsageError(f"--k-neighbors must be >= 1, got {args.k_neighbors}")
-    out = _out_dir(args)
     dmat = cvio.load_distance_matrix_csv(args.distances)
+    highlights = _load_highlights(args.highlight) if args.highlight else None
     coords = isomap(
         dmat,
         k_neighbors=args.k_neighbors,
         dims=args.dims,
         largest_component=args.largest_component,
     )
-    _embed_common(args, coords, out)
-    inputs = {"distances": args.distances}
-    if args.highlight:
-        inputs["highlight"] = args.highlight
-    _write_run_manifest(out, "isomap", args, inputs)
+    _embed_common(args, coords, highlights)
 
 
 # -- solve ------------------------------------------------------------------------
@@ -302,7 +297,6 @@ def cmd_solve(args) -> None:
         )
     if args.top < 1:
         raise UsageError(f"--top must be >= 1, got {args.top}")
-    out = _out_dir(args)
     manifest = cvio.load_manifest(args.manifest)
     embeddings = cvio.load_class_embeddings(args.embeddings, manifest)
     class_map = cvio.load_class_map(args.class_map) if args.class_map else None
@@ -322,6 +316,7 @@ def cmd_solve(args) -> None:
         result = solve_difference(
             a, b, embeddings, top_k=args.top, exclude_operands=exclude_operands
         )
+    out = _out_dir(args)
     _write(cvio.write_equation_csv, result, out / "equation.csv")
     table_path = out / "equation.txt"
     table_path.write_text(cvio.format_equation_table(result) + "\n", encoding="utf-8")
@@ -466,7 +461,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return 2
-    except ClassVecError as exc:
+    except (ClassVecError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -8,9 +8,9 @@ line endings; reals use Python's shortest round-trip representation except
 CSV matrix cells, which carry 9 significant digits.
 
 Every tab-separated loader reads its file one line at a time: lines are
-numbered from 1, the trailing LF is dropped, blank lines are skipped, and
-every other line must split at its tabs into the format's fixed number of
-fields. CSV loaders read a header row, skip empty rows and require as many
+numbered from 1, the trailing LF is dropped, a line that then ends in CR
+(a CRLF line ending) is refused, blank lines are skipped, and every other
+line must split at its tabs into the format's fixed number of fields. CSV loaders read a header row, skip empty rows and require as many
 cells in every row as the header has. Every fault is a FormatError naming
 the path and line (line 1 for an empty file). Writers end every line, the
 last included, with LF.
@@ -29,6 +29,7 @@ manifest order, indices ascending, zeros left out.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import html
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -89,6 +90,8 @@ def _tsv_rows(path, n_fields: int, expected: str) -> Iterator[tuple[int, list[st
     with _open_read(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
+            if line.endswith("\r"):
+                raise FormatError(path, lineno, "line ends in CR (CRLF line ending); expected LF")
             if not line:
                 continue
             fields = line.split("\t")
@@ -240,17 +243,84 @@ def _parse_triplets(
         raise FormatError(path, lineno, str(exc)) from None
 
 
-def _format_triplets(vector: SparseActivationVector) -> str:
+class _Heads(dict):
+    """Flattened index of one manifest -> its " layer_id:i:" head.
+
+    A layer id is checked when the first head in its layer is made. The
+    table keeps at most ``cap`` heads; past it, heads are made each time.
+    """
+
+    __slots__ = ("manifest", "_starts", "_prefixes")
+    cap = 1 << 16
+
+    def __init__(self, manifest: LayerManifest):
+        super().__init__()
+        self.manifest = manifest
+        self._starts = manifest._starts.tolist()
+        self._prefixes = [None] * len(manifest)
+
+    def __missing__(self, key: int) -> str:
+        pos = bisect.bisect_right(self._starts, key) - 1
+        prefix = self._prefixes[pos]
+        if prefix is None:
+            layer_id = self.manifest.layers[pos].layer_id
+            _check_layer_id(layer_id)
+            prefix = self._prefixes[pos] = f" {layer_id}:"
+        head = f"{prefix}{key - self._starts[pos]}:"
+        if len(self) < self.cap:
+            self[key] = head
+        return head
+
+
+class _Texts(dict):
+    """Value -> its repr, which for a Python float is _fmt's shortest round-trip form.
+
+    The table keeps at most ``cap`` texts: enough for values on a grid, and
+    little to fill when no value repeats.
+    """
+
+    __slots__ = ()
+    cap = 1 << 12
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if len(self) < self.cap:
+            self[value] = text
+        return text
+
+
+class _TripletMemo:
+    """The text pieces of one write call's triplet fields.
+
+    ``heads`` serves the manifest of the latest vector and starts afresh
+    when a vector of another manifest comes. Once ``texts`` is full, values
+    have shown that they seldom repeat, and the rest are formatted directly.
+    """
+
+    def __init__(self):
+        self.heads = None
+        self.texts = _Texts()
+
+    def heads_of(self, manifest: LayerManifest) -> _Heads:
+        if self.heads is None or manifest != self.heads.manifest:
+            self.heads = _Heads(manifest)
+        return self.heads
+
+    def texts_of(self, values: list[float]) -> Iterator[str]:
+        texts = self.texts
+        return map(texts.__getitem__ if len(texts) < texts.cap else repr, values)
+
+
+def _format_triplets(vector: SparseActivationVector, memo: _TripletMemo) -> str:
     """The vector's triplet field, layer by layer in manifest order."""
-    layers = []
-    for layer_id in vector.stored_layers:
-        _check_layer_id(layer_id)
-        idx, val = vector.layer(layer_id)
-        # repr of a Python float is _fmt's shortest round-trip form
-        layers.append(
-            " ".join(f"{layer_id}:{i}:{v!r}" for i, v in zip(idx.tolist(), val.tolist()))
-        )
-    return " ".join(layers)
+    keys, values = vector._flat_entries()
+    if not keys.size:
+        return ""
+    # head and text pieces joined at once, with no string made per triplet
+    pieces = [""] * (2 * keys.size)
+    pieces[0::2] = map(memo.heads_of(vector.manifest).__getitem__, keys.tolist())
+    pieces[1::2] = memo.texts_of(values.tolist())
+    return "".join(pieces)[1:]
 
 
 def stream_activations(path, manifest: LayerManifest) -> Iterator[ActivationRecord]:
@@ -268,11 +338,12 @@ def stream_activations(path, manifest: LayerManifest) -> Iterator[ActivationReco
 
 
 def write_activations(records: Iterable[ActivationRecord], path) -> None:
+    memo = _TripletMemo()
     _write_lines(
         path,
         (
             f"{_check_id('image_id', rec.image_id)}\t"
-            f"{_check_id('class_id', rec.class_id)}\t{_format_triplets(rec.vector)}"
+            f"{_check_id('class_id', rec.class_id)}\t{_format_triplets(rec.vector, memo)}"
             for rec in records
         ),
     )
@@ -368,11 +439,12 @@ def write_class_map(mapping: Mapping[str, str], path) -> None:
 
 def write_class_embeddings(embeddings: Sequence[ClassEmbedding], path) -> None:
     """class_id TAB synset_id TAB image_count TAB triplets, sorted by class."""
+    memo = _TripletMemo()
     _write_lines(
         path,
         (
             f"{_check_id('class_id', e.class_id)}\t{_check_id('synset_id', e.synset_id)}\t"
-            f"{e.image_count}\t{_format_triplets(e.vector)}"
+            f"{e.image_count}\t{_format_triplets(e.vector, memo)}"
             for e in sorted(embeddings, key=lambda e: e.class_id)
         ),
     )

@@ -16,7 +16,22 @@ signal features.
 
 All randomness flows from one seeded generator (numpy PCG64, algorithm
 recorded in the metadata file), and generation is single-threaded, so equal
-specs produce byte-identical files.
+specs produce byte-identical files. The draws come in this order: the
+hierarchy's leaf shuffle, one corpus count per taxonomy node, one image
+count per class, then class by class, four arrays covering all of the
+class's images at once:
+
+1. signal jitter, images x live layers x signal entries;
+2. background counts, images x layers, each in 2..MAX_BACKGROUND;
+3. background keys, images x layers x the widest background range: the
+   background indices of an image x layer are the positions of its
+   smallest keys, keys past the layer's own range never chosen;
+4. background values, images x layers x MAX_BACKGROUND, taken in order
+   for the indices in ascending order.
+
+At noise 0 a class draws nothing, and all its images are one vector. The
+metadata's generator_version changes whenever this order, or anything else
+that shapes the bytes, changes.
 """
 
 from __future__ import annotations
@@ -35,6 +50,10 @@ from .vectors import LayerManifest, SparseActivationVector
 DEFAULT_GROUPS = ("3a", "3b", "4a", "4b", "4c", "4d", "4e", "5a", "5b")
 KERNELS = ("1x1", "3x3", "5x5")
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
+# Bumped whenever the same spec starts giving different bytes.
+GENERATOR_VERSION = 2
+# Background entries per image x layer are drawn from 2..MAX_BACKGROUND.
+MAX_BACKGROUND = 5
 
 
 @dataclass(frozen=True)
@@ -128,6 +147,11 @@ def _signal_manifest(n_nodes: int, block_size: int) -> LayerManifest:
     )
 
 
+def _quantize(values: np.ndarray) -> np.ndarray:
+    """Values on the 1e-4 grid, floored at its first step."""
+    return np.maximum(np.round(values, 4), 1e-4)
+
+
 def closed_form_cosine(ancestors_a: frozenset, ancestors_b: frozenset) -> float:
     """Expected class-pair cosine at noise 0 under the default pipeline."""
     shared = len(ancestors_a & ancestors_b)
@@ -173,43 +197,73 @@ def generate(spec: GeneratorSpec, out_dir) -> dict[str, Path]:
 
     block = spec.block_size
     noise = spec.noise_scale
+    n_layers = len(manifest)
+    spare = np.array([layer.dim for layer in manifest]) - capacity
+    if noise > 0 and spare.min() < MAX_BACKGROUND:
+        layer = manifest.layers[int(spare.argmin())]
+        raise ValidationError(
+            f"layer {layer.layer_id!r} dim {layer.dim} leaves {layer.dim - capacity} "
+            f"background indices past the signal blocks; noise needs {MAX_BACKGROUND}"
+        )
+    layer_weight = np.array([weights.get(layer.group, 1.0) for layer in manifest])
+    live = np.flatnonzero(layer_weight > 0)
+    # key slots past a layer's own background range never win a draw
+    out_of_range = np.arange(spare.max()) >= spare[:, None]
+
+    def class_vectors(signal: np.ndarray, n_images: int) -> list[SparseActivationVector]:
+        """The vectors of one class's images, every draw made for all of them at once."""
+        size = signal.size
+        if noise == 0:
+            # every image of the class is the same vector
+            vector = SparseActivationVector._from_checked(
+                manifest,
+                np.repeat(live, size),
+                np.tile(signal, live.size),
+                np.repeat(_quantize(layer_weight[live]), size),
+            )
+            return [vector] * n_images
+        jitter = rng.random((n_images, live.size, size))
+        n_background = rng.integers(2, MAX_BACKGROUND + 1, size=(n_images, n_layers))
+        keys = rng.random((n_images, n_layers, spare.max()))
+        keys[:, out_of_range] = np.inf
+        background_values = rng.random((n_images, n_layers, MAX_BACKGROUND))
+
+        # the background indices of an image x layer are the slots of its
+        # n_background smallest keys, ascending; unused slots sort last
+        smallest = np.argpartition(keys, MAX_BACKGROUND - 1, axis=2)[..., :MAX_BACKGROUND]
+        by_key = np.argsort(np.take_along_axis(keys, smallest, axis=2), axis=2)
+        used = np.arange(MAX_BACKGROUND) < n_background[..., None]
+        background = np.sort(
+            np.where(used, np.take_along_axis(smallest, by_key, axis=2), spare.max()), axis=2
+        )
+
+        # (image, layer, slot) tables: the signal slots, then the background
+        # slots, so the kept entries of each image are in (layer, index) order
+        shape = (n_images, n_layers, size + MAX_BACKGROUND)
+        idx = np.empty(shape, dtype=np.int64)
+        idx[..., :size] = signal
+        idx[..., size:] = capacity + background
+        val = np.zeros(shape)
+        val[:, live, :size] = layer_weight[live, None] * (1.0 + noise * (jitter - 0.5))
+        val[..., size:] = noise * (0.05 + 0.95 * background_values)
+        keep = np.empty(shape, dtype=bool)
+        keep[..., :size] = (layer_weight > 0)[:, None]
+        keep[..., size:] = used
+        pos = np.broadcast_to(np.arange(n_layers)[:, None], shape)[keep]
+        idx = idx[keep]
+        val = _quantize(val[keep])
+        ends = np.cumsum(keep.sum(axis=(1, 2))).tolist()
+        return [
+            SparseActivationVector._from_checked(manifest, pos[a:b], idx[a:b], val[a:b])
+            for a, b in zip([0, *ends], ends)
+        ]
 
     def make_records():
         for cid in class_ids:
-            chain = ancestors(class_map[cid])
-            starts = sorted(block_of[a] for a in chain)
-            signal_idx = np.concatenate(
-                [np.arange(s, s + block, dtype=np.int64) for s in starts]
-            )
-            for img in range(image_counts[cid]):
-                entries = {}
-                for layer in manifest:
-                    weight = weights.get(layer.group, 1.0)
-                    idx_parts = []
-                    val_parts = []
-                    if weight > 0:
-                        if noise > 0:
-                            jitter = 1.0 + noise * (rng.random(signal_idx.size) - 0.5)
-                        else:
-                            jitter = np.ones(signal_idx.size)
-                        idx_parts.append(signal_idx)
-                        val_parts.append(weight * jitter)
-                    if noise > 0:
-                        n_bg = int(rng.integers(2, 6))
-                        bg_idx = capacity + rng.choice(
-                            layer.dim - capacity, size=n_bg, replace=False
-                        )
-                        bg_val = noise * (0.05 + 0.95 * rng.random(n_bg))
-                        idx_parts.append(np.sort(bg_idx).astype(np.int64))
-                        val_parts.append(bg_val)
-                    if not idx_parts:
-                        continue
-                    values = np.round(np.concatenate(val_parts), 4)
-                    values = np.maximum(values, 1e-4)  # quantization floor
-                    entries[layer.layer_id] = (np.concatenate(idx_parts), values)
-                yield cvio.ActivationRecord(
-                    f"{cid}_img{img:03d}", cid, SparseActivationVector(manifest, entries)
-                )
+            starts = sorted(block_of[a] for a in ancestors(class_map[cid]))
+            signal = (np.array(starts)[:, None] + np.arange(block)).ravel()
+            for img, vector in enumerate(class_vectors(signal, image_counts[cid])):
+                yield cvio.ActivationRecord(f"{cid}_img{img:03d}", cid, vector)
 
     paths = {
         "manifest": out / "manifest.tsv",
@@ -226,6 +280,7 @@ def generate(spec: GeneratorSpec, out_dir) -> dict[str, Path]:
     cvio.write_class_map(class_map, paths["class_map"])
     meta = {
         "format_version": 1,
+        "generator_version": GENERATOR_VERSION,
         "rng_algorithm": RNG_ALGORITHM,
         "spec": spec.to_dict(),
         "n_taxonomy_nodes": n_nodes,

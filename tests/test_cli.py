@@ -459,6 +459,38 @@ def test_usage_error_creates_no_output_dir(tmp_path, capsys, subcommand):
     assert not out.exists()
 
 
+# one missing input file per subcommand that reads files, read early or late
+MISSING_INPUTS = {
+    "build": lambda data, built, gone: [
+        "--activations", gone, "--manifest", str(data / "manifest.tsv"),
+        "--class-map", str(data / "class_map.tsv"),
+    ],
+    "eval": lambda data, built, gone: [
+        "--distances", str(built / "distance_matrix.csv"), "--taxonomy", gone,
+    ],
+    "mds": lambda data, built, gone: [
+        "--distances", str(built / "distance_matrix.csv"), "--highlight", gone,
+    ],
+    "isomap": lambda data, built, gone: ["--distances", gone],
+    "solve": lambda data, built, gone: [
+        "c0000 - c0001", "--embeddings", gone, "--manifest", str(data / "manifest.tsv"),
+    ],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(MISSING_INPUTS))
+def test_missing_input_is_a_data_error_and_creates_no_output_dir(
+    dataset, built, tmp_path, capsys, subcommand
+):
+    out = tmp_path / "out"
+    gone = str(tmp_path / "nope.tsv")
+    code = main([subcommand, *MISSING_INPUTS[subcommand](dataset, built, gone), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("classvec: error: ") and "nope.tsv" in err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["build", "--bogus"]) == 2
 

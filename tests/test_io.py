@@ -4,7 +4,9 @@ import tempfile
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -84,6 +86,15 @@ def test_wrong_field_count_after_blank_line_names_line_three(tmp_path, shape):
         load(p)
     assert str(err.value) == f"{p}:3: {message}"
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("shape", [shape for shape in SHAPES if not shape.endswith("-csv")])
+def test_crlf_line_ending_is_refused_at_its_line(tmp_path, shape):
+    load, first, _, _, _ = SHAPES[shape]
+    p = write(tmp_path / "f.txt", f"{first}\n{first}\r\n")
+    with pytest.raises(FormatError) as err:
+        load(p)
+    assert str(err.value) == f"{p}:2: line ends in CR (CRLF line ending); expected LF"
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -397,6 +408,41 @@ def test_triplet_round_trip_property(case, data):
         want = [v for _, v in vecs]
         assert [r.vector for r in cvio.stream_activations(d / "a3.tsv", m)] == want
         assert [e.vector for e in cvio.load_class_embeddings(d / "e3.tsv", m)] == want
+
+
+def reference_triplets(vector):
+    """The triplet field formatted one entry at a time."""
+    return " ".join(f"{lid}:{i}:{v!r}" for lid, i, v in vector.iter_entries())
+
+
+@given(
+    first=manifests_and_vectors(),
+    second=manifests_and_vectors(),
+    picks=st.lists(st.tuples(st.booleans(), st.integers(0, 3)), min_size=1, max_size=12),
+    cap=st.sampled_from([None, 1, 2, 5]),
+)
+def test_memoized_triplets_match_per_element_reference(first, second, picks, cap):
+    # vectors of two manifests interleaved, repeats included, so memo entries are reused
+    vectors = []
+    for use_second, k in picks:
+        vecs = (second if use_second else first)[1]
+        vectors.append(vecs[k % len(vecs)][1])
+    with ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
+        if cap is not None:
+            stack.enter_context(mock.patch.object(cvio._Heads, "cap", cap))
+            stack.enter_context(mock.patch.object(cvio._Texts, "cap", cap))
+        memo = cvio._TripletMemo()
+        for v in vectors:
+            assert cvio._format_triplets(v, memo) == reference_triplets(v)
+            assert len(memo.texts) <= cvio._Texts.cap
+            assert memo.heads is None or len(memo.heads) <= cvio._Heads.cap
+        path = Path(tmp) / "a.tsv"
+        cvio.write_activations(
+            [cvio.ActivationRecord(f"i{k}", "c", v) for k, v in enumerate(vectors)], path
+        )
+        assert path.read_text(encoding="utf-8") == "".join(
+            f"i{k}\tc\t{reference_triplets(v)}\n" for k, v in enumerate(vectors)
+        )
 
 
 # -- taxonomy and counts --------------------------------------------------------

@@ -1,9 +1,13 @@
 """Synthetic dataset generator: determinism, structure, and closed-form checks."""
 
 import json
+import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import classvec.io as cvio
 from classvec import (
@@ -17,7 +21,13 @@ from classvec import (
     closed_form_cosine,
     generate,
 )
-from classvec.synthdata import DEFAULT_GROUPS, KERNELS, RNG_ALGORITHM
+from classvec.synthdata import (
+    DEFAULT_GROUPS,
+    GENERATOR_VERSION,
+    KERNELS,
+    MAX_BACKGROUND,
+    RNG_ALGORITHM,
+)
 
 
 def small_spec(**overrides):
@@ -101,6 +111,7 @@ def test_metadata_records_rng_and_spec(tmp_path):
     paths = generate(spec, tmp_path / "d")
     meta = json.loads(paths["meta"].read_text(encoding="utf-8"))
     assert meta["rng_algorithm"] == RNG_ALGORITHM
+    assert meta["generator_version"] == GENERATOR_VERSION == 2
     assert "PCG64" in meta["rng_algorithm"]
     assert GeneratorSpec.from_dict(meta["spec"]) == spec
     assert meta["total_images"] == sum(
@@ -218,3 +229,89 @@ def test_taxonomy_is_single_rooted_and_balanced(tmp_path):
     depths = {taxonomy.depth(s) for s in class_map.values()}
     assert depths == {4}  # 27 leaves under branching 3: root + 2 levels + leaf
     assert taxonomy.max_depth == 4
+
+
+def test_noise_needs_background_room_past_the_signal_blocks(tmp_path):
+    # 4 leaves + 2 + 1 internal nodes = 7 blocks of size 1
+    narrow = LayerManifest([("wide", "ga", 64), ("narrow", "gb", 7 + MAX_BACKGROUND - 1)])
+    spec = dict(seed=3, n_classes=4, images_per_class=(2, 3), branching=2, block_size=1)
+    with pytest.raises(ValidationError, match="'narrow' dim 11 leaves 4 background"):
+        generate(GeneratorSpec(**spec, noise_scale=0.1, manifest=narrow), tmp_path / "noisy")
+    generate(GeneratorSpec(**spec, manifest=narrow), tmp_path / "quiet")
+
+
+def hierarchy_size(n_classes: int, branching: int) -> int:
+    """Nodes of the balanced tree: leaves, then each level of parents."""
+    nodes, level = 0, n_classes
+    while level > 1:
+        nodes += level
+        level = math.ceil(level / branching)
+    return nodes + 1
+
+
+@st.composite
+def generator_cases(draw):
+    n_classes = draw(st.integers(2, 12))
+    branching = draw(st.integers(2, 4))
+    block = draw(st.integers(1, 3))
+    noise = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    capacity = hierarchy_size(n_classes, branching) * block
+    manifest = None
+    groups = DEFAULT_GROUPS
+    if draw(st.booleans()):
+        groups = ("ga", "gb", "gc")
+        manifest = LayerManifest([
+            (f"l{k}", draw(st.sampled_from(groups)), capacity + draw(st.integers(MAX_BACKGROUND, 40)))
+            for k in range(draw(st.integers(1, 4)))
+        ])
+    weights = {
+        g: draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+        for g in draw(st.lists(st.sampled_from(groups), unique=True, max_size=len(groups)))
+    }
+    lo = draw(st.integers(1, 3))
+    return GeneratorSpec(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_classes=n_classes,
+        images_per_class=(lo, lo + draw(st.integers(0, 2))),
+        block_size=block,
+        noise_scale=noise,
+        branching=branching,
+        group_weights=weights or None,
+        manifest=manifest,
+    )
+
+
+@settings(max_examples=40)
+@given(spec=generator_cases())
+def test_generated_structure_matches_taxonomy_oracle(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, taxonomy, _, class_map, records = load_all(generate(spec, tmp))
+    # the oracle: one block per taxonomy node, in sorted synset order
+    block = spec.block_size
+    capacity = len(taxonomy.synsets) * block
+    start = {s: k * block for k, s in enumerate(sorted(taxonomy.synsets))}
+    signal = {
+        cid: sorted(i for a in taxonomy.ancestors(syn) for i in range(start[a], start[a] + block))
+        for cid, syn in class_map.items()
+    }
+    weights = spec.group_weights or {}
+    lo, hi = spec.images_per_class
+    images = {}
+    for rec in records:
+        images[rec.class_id] = images.get(rec.class_id, 0) + 1
+        for layer in manifest:
+            idx, val = rec.vector.layer(layer.layer_id)
+            live = weights.get(layer.group, 1.0) > 0
+            assert idx[idx < capacity].tolist() == (signal[rec.class_id] if live else [])
+            background = idx[idx >= capacity]
+            if spec.noise_scale > 0:
+                assert 2 <= background.size <= MAX_BACKGROUND
+                assert background.max() < layer.dim
+            else:
+                assert background.size == 0
+                if not live:
+                    assert layer.layer_id not in rec.vector.stored_layers
+            assert np.all(val >= 1e-4)
+            assert np.array_equal(val, np.round(val, 4))
+    assert set(images) == set(class_map)
+    assert all(lo <= n <= hi for n in images.values())
