@@ -10,8 +10,9 @@ CSV matrix cells, which carry 9 significant digits.
 Every tab-separated loader reads its file one line at a time: lines are
 numbered from 1, the trailing LF is dropped, a line that then ends in CR
 (a CRLF line ending) is refused, blank lines are skipped, and every other
-line must split at its tabs into the format's fixed number of fields. CSV loaders read a header row, skip empty rows and require as many
-cells in every row as the header has. Every fault is a FormatError naming
+line must split at its tabs into the format's fixed number of fields. CSV
+loaders read a header row, skip empty rows and require as many cells in
+every row as the header has. Every fault is a FormatError naming
 the path and line (line 1 for an empty file). Writers end every line, the
 last included, with LF.
 
@@ -247,7 +248,9 @@ class _Heads(dict):
     """Flattened index of one manifest -> its " layer_id:i:" head.
 
     A layer id is checked when the first head in its layer is made. The
-    table keeps at most ``cap`` heads; past it, heads are made each time.
+    table keeps at most ``cap`` heads and starts afresh when full: the
+    images of one class share most of their heads, so the heads in use
+    come back at once.
     """
 
     __slots__ = ("manifest", "_starts", "_prefixes")
@@ -267,8 +270,9 @@ class _Heads(dict):
             _check_layer_id(layer_id)
             prefix = self._prefixes[pos] = f" {layer_id}:"
         head = f"{prefix}{key - self._starts[pos]}:"
-        if len(self) < self.cap:
-            self[key] = head
+        if len(self) >= self.cap:
+            self.clear()
+        self[key] = head
         return head
 
 
@@ -316,7 +320,8 @@ def _format_triplets(vector: SparseActivationVector, memo: _TripletMemo) -> str:
     keys, values = vector._flat_entries()
     if not keys.size:
         return ""
-    # head and text pieces joined at once, with no string made per triplet
+    # head and text pieces joined at once, with no string made per triplet;
+    # every head starts with the space that separates it from the triplet before
     pieces = [""] * (2 * keys.size)
     pieces[0::2] = map(memo.heads_of(vector.manifest).__getitem__, keys.tolist())
     pieces[1::2] = memo.texts_of(values.tolist())

@@ -26,8 +26,8 @@ class's images at once:
 3. background keys, images x layers x the widest background range: the
    background indices of an image x layer are the positions of its
    smallest keys, keys past the layer's own range never chosen;
-4. background values, images x layers x MAX_BACKGROUND, taken in order
-   for the indices in ascending order.
+4. background values, images x layers x MAX_BACKGROUND: the first n of
+   an image x layer go to its n background indices in ascending order.
 
 At noise 0 a class draws nothing, and all its images are one vector. The
 metadata's generator_version changes whenever this order, or anything else
