@@ -23,9 +23,12 @@ class's images at once:
 
 1. signal jitter, images x live layers x signal entries;
 2. background counts, images x layers, each in 2..MAX_BACKGROUND;
-3. background keys, images x layers x the widest background range: the
-   background indices of an image x layer are the positions of its
-   smallest keys, keys past the layer's own range never chosen;
+3. background indices, MAX_BACKGROUND rounds of Floyd's sampling, one
+   images x layers array of integers per round: round j of an image x
+   layer with n background entries and s background indices draws from
+   0..s-n+j and takes s-n+j instead if the draw was chosen before, so its
+   n indices are a uniform n-subset of 0..s-1 (rounds j >= n are drawn
+   and dropped);
 4. background values, images x layers x MAX_BACKGROUND: the first n of
    an image x layer go to its n background indices in ascending order.
 
@@ -207,8 +210,6 @@ def generate(spec: GeneratorSpec, out_dir) -> dict[str, Path]:
         )
     layer_weight = np.array([weights.get(layer.group, 1.0) for layer in manifest])
     live = np.flatnonzero(layer_weight > 0)
-    # key slots past a layer's own background range never win a draw
-    out_of_range = np.arange(spare.max()) >= spare[:, None]
 
     def class_vectors(signal: np.ndarray, n_images: int) -> list[SparseActivationVector]:
         """The vectors of one class's images, every draw made for all of them at once."""
@@ -224,18 +225,17 @@ def generate(spec: GeneratorSpec, out_dir) -> dict[str, Path]:
             return [vector] * n_images
         jitter = rng.random((n_images, live.size, size))
         n_background = rng.integers(2, MAX_BACKGROUND + 1, size=(n_images, n_layers))
-        keys = rng.random((n_images, n_layers, spare.max()))
-        keys[:, out_of_range] = np.inf
-        background_values = rng.random((n_images, n_layers, MAX_BACKGROUND))
-
-        # the background indices of an image x layer are the slots of its
-        # n_background smallest keys, ascending; unused slots sort last
-        smallest = np.argpartition(keys, MAX_BACKGROUND - 1, axis=2)[..., :MAX_BACKGROUND]
-        by_key = np.argsort(np.take_along_axis(keys, smallest, axis=2), axis=2)
+        # Floyd's sampling, one round per background slot; unused slots sort last
+        background = np.empty((n_images, n_layers, MAX_BACKGROUND), dtype=np.int64)
+        for j in range(MAX_BACKGROUND):
+            top = spare - n_background + j
+            draw = rng.integers(0, top + 1)
+            taken = (background[..., :j] == draw[..., None]).any(axis=2)
+            background[..., j] = np.where(taken, top, draw)
         used = np.arange(MAX_BACKGROUND) < n_background[..., None]
-        background = np.sort(
-            np.where(used, np.take_along_axis(smallest, by_key, axis=2), spare.max()), axis=2
-        )
+        background[~used] = spare.max()
+        background.sort(axis=2)
+        background_values = rng.random((n_images, n_layers, MAX_BACKGROUND))
 
         # (image, layer, slot) tables: the signal slots, then the background
         # slots, so the kept entries of each image are in (layer, index) order

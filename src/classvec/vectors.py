@@ -318,17 +318,6 @@ class SparseActivationVector:
         self.manifest.spec_of(layer_id)
         return self._data.get(layer_id, (_EMPTY_IDX, _EMPTY_VAL))
 
-    def _flat_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened indices and values of every entry, in canonical order."""
-        if not self._data:
-            return _EMPTY_IDX, _EMPTY_VAL
-        offsets = self.manifest._offsets
-        idx, val = zip(*self._data.values())
-        flat = np.concatenate(idx) + np.repeat(
-            [offsets[lid] for lid in self._data], list(map(len, idx))
-        )
-        return flat, np.concatenate(val)
-
     @property
     def stored_layers(self) -> tuple[str, ...]:
         """Ids of layers holding at least one entry, manifest order."""

@@ -429,13 +429,15 @@ def test_memoized_triplets_match_per_element_reference(first, second, picks, cap
         vectors.append(vecs[k % len(vecs)][1])
     with ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
         if cap is not None:
-            stack.enter_context(mock.patch.object(cvio._Heads, "cap", cap))
+            stack.enter_context(mock.patch.object(cvio._LayerHeads, "cap", cap))
             stack.enter_context(mock.patch.object(cvio._Texts, "cap", cap))
         memo = cvio._TripletMemo()
         for v in vectors:
             assert cvio._format_triplets(v, memo) == reference_triplets(v)
             assert len(memo.texts) <= cvio._Texts.cap
-            assert memo.heads is None or len(memo.heads) <= cvio._Heads.cap
+            if memo.heads.manifest is not None:  # heads of one manifest's layers only
+                assert set(memo.heads) <= set(memo.heads.manifest.layer_ids)
+            assert all(len(heads) <= cvio._LayerHeads.cap for heads in memo.heads.values())
         path = Path(tmp) / "a.tsv"
         cvio.write_activations(
             [cvio.ActivationRecord(f"i{k}", "c", v) for k, v in enumerate(vectors)], path

@@ -240,6 +240,22 @@ def test_noise_needs_background_room_past_the_signal_blocks(tmp_path):
     generate(GeneratorSpec(**spec, manifest=narrow), tmp_path / "quiet")
 
 
+def test_background_indices_cover_their_range_evenly(tmp_path):
+    # 7 blocks of size 1, so layer "a" has 6 background indices and "b" 40
+    manifest = LayerManifest([("a", "ga", 7 + 6), ("b", "gb", 7 + 40)])
+    spec = GeneratorSpec(
+        seed=5, n_classes=4, images_per_class=(300, 300), branching=2, block_size=1,
+        noise_scale=0.1, manifest=manifest,
+    )
+    records = load_all(generate(spec, tmp_path))[4]
+    for layer in manifest:
+        background = np.concatenate([rec.vector.layer(layer.layer_id)[0] for rec in records])
+        counts = np.bincount(background[background >= 7] - 7, minlength=layer.dim - 7)
+        assert counts.size == layer.dim - 7
+        # 1200 images x 3.5 entries on average; each index within 25% of its share
+        assert np.all(np.abs(counts / counts.mean() - 1) < 0.25), counts
+
+
 def hierarchy_size(n_classes: int, branching: int) -> int:
     """Nodes of the balanced tree: leaves, then each level of parents."""
     nodes, level = 0, n_classes
