@@ -161,7 +161,8 @@ def cmd_build(args) -> None:
     manifest = cvio.load_manifest(args.manifest)
     class_map = cvio.load_class_map(args.class_map)
     records = cvio.stream_activations(args.activations, manifest)
-    embeddings = build_class_embeddings(records, config, class_map, manifest)
+    sizes = cvio.activation_class_sizes(args.activations)
+    embeddings = build_class_embeddings(records, config, class_map, manifest, sizes)
     _note(f"built {len(embeddings)} class embeddings")
     out = _out_dir(args)
     _write(cvio.write_class_embeddings, embeddings, out / "class_embeddings.tsv")

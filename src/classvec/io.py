@@ -353,6 +353,22 @@ def stream_activations(path, manifest: LayerManifest) -> Iterator[ActivationReco
         yield ActivationRecord(image_id, class_id, _parse_triplets(path, lineno, payload, manifest))
 
 
+def activation_class_sizes(path) -> dict[str, int]:
+    """Lines per class_id of an activations file, counted without parsing triplets.
+
+    Nothing is checked here: a line that stream_activations refuses may be
+    counted or skipped, and it is reported when the stream reaches it.
+    """
+    sizes: dict[str, int] = {}
+    with open(path, "rb") as fh:
+        for line in fh:
+            fields = line.split(b"\t", 2)
+            if len(fields) == 3:
+                class_id = fields[1].decode("utf-8", "replace")
+                sizes[class_id] = sizes.get(class_id, 0) + 1
+    return sizes
+
+
 def write_activations(records: Iterable[ActivationRecord], path) -> None:
     memo = _TripletMemo()
     _write_lines(

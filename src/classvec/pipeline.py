@@ -194,30 +194,24 @@ def build_class_embeddings(
     config: PipelineConfig,
     class_map: Mapping[str, str],
     manifest: LayerManifest,
+    class_sizes: Mapping[str, int] | None = None,
 ) -> list[ClassEmbedding]:
     """Run the full pipeline; one embedding per class, sorted by class_id.
 
     ``records`` yields objects with image_id, class_id and vector attributes.
-    Classes are processed independently, one after another; within a class,
-    images are sorted by image_id so results do not depend on input order.
+    Classes are processed independently; within a class, images are sorted
+    by image_id so results do not depend on input order. ``class_sizes``, when
+    given, holds each class's number of records: a class is aggregated, and
+    its image vectors let go, as soon as its last record is read, so a file
+    grouped by class is held one class at a time.
     """
+    if config.groups is not None:
+        manifest.layers_in_groups(config.groups)  # unknown groups fail before any record
     by_class: dict[str, dict[str, SparseActivationVector]] = {}
-    for rec in records:
-        if rec.class_id not in class_map:
-            raise UnknownClassError(f"record {rec.image_id!r}: unknown class {rec.class_id!r}")
-        if rec.vector.manifest != manifest:
-            raise ManifestMismatchError(
-                f"record {rec.image_id!r} does not match the provided manifest"
-            )
-        images = by_class.setdefault(rec.class_id, {})
-        if rec.image_id in images:
-            raise ValidationError(
-                f"duplicate image_id {rec.image_id!r} for class {rec.class_id!r}"
-            )
-        images[rec.image_id] = rec.vector
+    done: dict[str, ClassEmbedding] = {}
 
     def finish(class_id: str) -> ClassEmbedding:
-        images = by_class[class_id]
+        images = by_class.pop(class_id)
         vecs = [images[image_id] for image_id in sorted(images)]
         if config.threshold is not None:
             vecs = [apply_threshold(v, config.threshold) for v in vecs]
@@ -235,7 +229,30 @@ def build_class_embeddings(
             image_count=len(images),
         )
 
-    return [finish(class_id) for class_id in sorted(by_class)]
+    for rec in records:
+        if rec.class_id not in class_map:
+            raise UnknownClassError(f"record {rec.image_id!r}: unknown class {rec.class_id!r}")
+        if rec.vector.manifest != manifest:
+            raise ManifestMismatchError(
+                f"record {rec.image_id!r} does not match the provided manifest"
+            )
+        if rec.class_id in done:
+            raise ValidationError(
+                f"record {rec.image_id!r}: class {rec.class_id!r} has more records "
+                f"than class_sizes gives ({class_sizes[rec.class_id]})"
+            )
+        images = by_class.setdefault(rec.class_id, {})
+        if rec.image_id in images:
+            raise ValidationError(
+                f"duplicate image_id {rec.image_id!r} for class {rec.class_id!r}"
+            )
+        images[rec.image_id] = rec.vector
+        if class_sizes is not None and len(images) == class_sizes.get(rec.class_id):
+            done[rec.class_id] = finish(rec.class_id)
+
+    for class_id in list(by_class):
+        done[class_id] = finish(class_id)
+    return [done[class_id] for class_id in sorted(done)]
 
 
 def build_distance_matrix(

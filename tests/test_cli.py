@@ -91,6 +91,23 @@ def test_build_outputs_and_defaults(built):
         assert len(entry["sha256"]) == 64
 
 
+def test_build_of_shuffled_lines_gives_the_same_files(dataset, built, tmp_path):
+    # classes interleaved, so each is aggregated when its last line is read
+    lines = (dataset / "activations.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    np.random.default_rng(5).shuffle(lines)
+    shuffled = tmp_path / "activations.tsv"
+    shuffled.write_text("".join(lines), encoding="utf-8")
+    code = main([
+        "build", "--activations", str(shuffled),
+        "--manifest", str(dataset / "manifest.tsv"),
+        "--class-map", str(dataset / "class_map.tsv"),
+        "--out", str(tmp_path / "built"),
+    ])
+    assert code == 0
+    for name in ("class_embeddings.tsv", "distance_matrix.csv"):
+        assert (tmp_path / "built" / name).read_bytes() == (built / name).read_bytes()
+
+
 def test_build_data_goes_to_files_not_stdout(dataset, tmp_path, capsys):
     code = main([
         "build",

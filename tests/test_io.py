@@ -410,6 +410,16 @@ def test_triplet_round_trip_property(case, data):
         assert [e.vector for e in cvio.load_class_embeddings(d / "e3.tsv", m)] == want
 
 
+def test_activation_class_sizes_counts_lines_without_checking_them(tmp_path):
+    path = tmp_path / "a.tsv"
+    path.write_bytes(
+        b"i0\tc0\tL:1:0.5\n\ni1\tc1\t\ni2\tc0\tnot a triplet\r\n"
+        b"i3\tc1\n"  # two fields: not counted
+        b"i4\tc\xe9\tL:1:0.5\n"  # not UTF-8: the stream refuses it later
+    )
+    assert cvio.activation_class_sizes(path) == {"c0": 2, "c1": 1, "c\ufffd": 1}
+
+
 def reference_triplets(vector):
     """The triplet field formatted one entry at a time."""
     return " ".join(f"{lid}:{i}:{v!r}" for lid, i, v in vector.iter_entries())

@@ -224,8 +224,35 @@ class TestBuildClassEmbeddings:
             perm = list(records)
             np.random.default_rng(seed).shuffle(perm)
             again = build_class_embeddings(perm, DEFAULT_CONFIG, cmap, m)
-            for e1, e2 in zip(base, again):
-                assert e1.vector == e2.vector  # array_equal, hence bit-identical
+            sized = build_class_embeddings(perm, DEFAULT_CONFIG, cmap, m, {c: 7 for c in cmap})
+            for e1, e2, e3 in zip(base, again, sized, strict=True):
+                assert e1.vector == e2.vector == e3.vector  # array_equal, hence bit-identical
+                assert e1.image_count == e2.image_count == e3.image_count == 7
+
+    def test_class_is_aggregated_when_its_last_record_is_read(self):
+        rng = np.random.default_rng(319)
+        m = small_manifest()
+        records = self.make_records(rng, m, ["c0", "c1"], 3)
+        aggregated = []  # (class size, records read so far) per aggregate call
+        read = 0
+
+        def stream():
+            nonlocal read
+            for rec in records:
+                read += 1
+                yield rec
+
+        def counting(vecs, mode):
+            aggregated.append((len(vecs), read))
+            return aggregate(vecs, mode)
+
+        cmap = {"c0": "s0", "c1": "s1"}
+        with mock.patch("classvec.pipeline.aggregate", counting):
+            out = build_class_embeddings(stream(), DEFAULT_CONFIG, cmap, m, {"c0": 3, "c1": 3})
+        assert aggregated == [(3, 3), (3, 6)]
+        assert out == build_class_embeddings(records, DEFAULT_CONFIG, cmap, m)
+        with pytest.raises(ValidationError, match="class 'c0' has more records than class_sizes gives"):
+            build_class_embeddings(records, DEFAULT_CONFIG, cmap, m, {"c0": 2})
 
     def test_scaling_one_class_cancels_under_normalization(self):
         rng = np.random.default_rng(331)
