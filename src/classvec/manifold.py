@@ -5,13 +5,17 @@ which re-estimates distances as shortest paths through a symmetric k-nearest
 neighbor graph before applying MDS. Both return coordinates together with
 the eigenvalue spectrum so callers can judge how much structure the retained
 dimensions carry.
+
+The neighbor graph is held as CSR arrays, and its shortest paths come from
+min-plus relaxation of every edge for a block of sources at once. Because
+float addition rounds monotonically, the result is bit for bit the one a
+Dijkstra search from each source gives; ``geodesic_matrix`` states why.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import warnings
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,6 +24,8 @@ from .errors import ClassVecError, DisconnectedGraphError, ValidationError
 
 SYMMETRY_TOL = 1e-12
 EIGEN_RESIDUAL_TOL = 1e-9
+# Sources relaxed together by geodesic_matrix; see CHANGES.md for the measurement.
+GEODESIC_BLOCK = 16
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -191,62 +197,125 @@ def classical_mds(d: DistanceMatrix, k: int) -> EmbeddingCoordinates:
 
 
 class NeighborGraph:
-    """Undirected weighted graph over labeled nodes, adjacency in index order."""
+    """Undirected weighted graph over labeled nodes, held as CSR arrays.
 
-    __slots__ = ("_labels", "_adjacency")
+    Node i's neighbors are ``indices[indptr[i]:indptr[i + 1]]`` in
+    increasing order (a repeated neighbor by weight), and their edge weights
+    sit at the same positions of ``weights``. The constructor takes one list
+    of ``(neighbor, weight)`` pairs per node and refuses, with
+    ValidationError, a neighbor index outside ``[0, n)``, a weight that is
+    negative or not finite, and an edge not listed from both ends with the
+    same weight.
+    """
+
+    __slots__ = ("_labels", "_indptr", "_indices", "_weights")
 
     def __init__(self, labels: Sequence[str], adjacency: Sequence[Iterable[tuple[int, float]]]):
-        self._labels = tuple(str(x) for x in labels)
-        if len(adjacency) != len(self._labels):
+        labels = tuple(str(x) for x in labels)
+        rows = [tuple(row) for row in adjacency]
+        n = len(labels)
+        if len(rows) != n:
             raise ValidationError("adjacency size must match label count")
-        self._adjacency = tuple(tuple(sorted((int(j), float(w)) for j, w in row)) for row in adjacency)
+        edges = list(chain.from_iterable(rows))
+        try:
+            pairs = np.array(edges, dtype=np.float64).reshape(len(edges), 2)
+        except (TypeError, ValueError):
+            raise ValidationError("adjacency rows must hold (neighbor, weight) pairs") from None
+        tails, weights = pairs[:, 0], pairs[:, 1]
+        if not np.all((tails >= 0) & (tails < n) & (tails == np.trunc(tails))):
+            raise ValidationError(f"neighbor indices must be integers in [0, {n})")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ValidationError("edge weights must be finite and non-negative")
+        heads = np.repeat(np.arange(n), [len(row) for row in rows])
+        indptr, tails, weights = _csr(n, heads, tails.astype(np.intp), weights)
+        heads = _heads(indptr)
+        back = np.lexsort((weights, heads, tails))  # the reversed edges in row order
+        if not (
+            np.array_equal(tails[back], heads)
+            and np.array_equal(heads[back], tails)
+            and np.array_equal(weights[back], weights)
+        ):
+            raise ValidationError("each edge must be listed from both ends with the same weight")
+        self._assign(labels, indptr, tails, weights)
+
+    @classmethod
+    def _from_csr(cls, labels, indptr, indices, weights) -> "NeighborGraph":
+        """A graph over arrays already in CSR order and symmetric; no checks."""
+        graph = cls.__new__(cls)
+        graph._assign(tuple(labels), indptr, indices, weights)
+        return graph
+
+    def _assign(self, labels, indptr, indices, weights) -> None:
+        self._labels = labels
+        self._indptr = _locked(indptr)
+        self._indices = _locked(indices)
+        self._weights = _locked(weights)
 
     @property
     def labels(self) -> tuple[str, ...]:
         return self._labels
 
     @property
+    def indptr(self) -> np.ndarray:
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._indices
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights
+
+    @property
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        return self._adjacency
+        """Per node, its ``(neighbor, weight)`` pairs in CSR order."""
+        pairs = list(zip(self._indices.tolist(), self._weights.tolist()))
+        bounds = self._indptr.tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
     def size(self) -> int:
         return len(self._labels)
 
     def edge_count(self) -> int:
-        return sum(len(row) for row in self._adjacency) // 2
+        return len(self._indices) // 2
 
     def components(self) -> list[list[int]]:
-        """Connected components as sorted index lists, discovery order."""
-        seen = [False] * self.size
-        out: list[list[int]] = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack = [start]
-            comp = []
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v, _ in self._adjacency[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            out.append(sorted(comp))
-        return out
+        """Connected components as sorted index lists, ordered by their smallest member."""
+        heads = _heads(self._indptr)
+        once = heads < self._indices
+        parent = list(range(self.size))
+        _join(parent, heads[once].tolist(), self._indices[once].tolist())
+        members: dict[int, list[int]] = {}
+        for u in range(self.size):
+            members.setdefault(_root(parent, u), []).append(u)
+        return list(members.values())
 
     def subgraph(self, nodes: Sequence[int]) -> "NeighborGraph":
         """Induced subgraph; nodes keep their relative order, edges reindexed."""
-        nodes = list(nodes)
-        remap = {old: new for new, old in enumerate(nodes)}
-        adjacency = [
-            [(remap[v], w) for v, w in self._adjacency[old] if v in remap] for old in nodes
-        ]
-        return NeighborGraph([self._labels[old] for old in nodes], adjacency)
+        nodes = np.asarray(nodes, dtype=np.intp)
+        remap = np.full(self.size, -1, dtype=np.intp)
+        remap[nodes] = np.arange(len(nodes))
+        heads, tails = remap[_heads(self._indptr)], remap[self._indices]
+        keep = (heads >= 0) & (tails >= 0)
+        arrays = _csr(len(nodes), heads[keep], tails[keep], self._weights[keep])
+        return NeighborGraph._from_csr([self._labels[u] for u in nodes.tolist()], *arrays)
 
     def __repr__(self) -> str:
         return f"NeighborGraph(n={self.size}, edges={self.edge_count()})"
+
+
+def _csr(n: int, heads: np.ndarray, tails: np.ndarray, weights: np.ndarray):
+    """``indptr, indices, weights`` of the directed edges heads -> tails,
+    sorted by head, then tail, then weight."""
+    order = np.lexsort((weights, tails, heads))
+    return np.searchsorted(heads[order], np.arange(n + 1)), tails[order], weights[order]
+
+
+def _heads(indptr: np.ndarray) -> np.ndarray:
+    """The row of every CSR entry."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 def knn_graph(d: DistanceMatrix, k_neighbors: int) -> NeighborGraph:
@@ -262,12 +331,9 @@ def knn_graph(d: DistanceMatrix, k_neighbors: int) -> NeighborGraph:
     n = d.size
     picked = np.zeros((n, n), dtype=bool)
     picked[np.arange(n)[:, None], _neighbor_ranks(d)[:, :k_neighbors]] = True
-    rows, cols = np.nonzero(picked | picked.T)
+    rows, cols = np.nonzero(picked | picked.T)  # row-major, so already CSR order
     weights = d.values[np.minimum(rows, cols), np.maximum(rows, cols)]
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
-        adjacency[i].append((j, w))
-    return NeighborGraph(d.labels, adjacency)
+    return NeighborGraph._from_csr(d.labels, np.searchsorted(rows, np.arange(n + 1)), cols, weights)
 
 
 def _neighbor_ranks(d: DistanceMatrix) -> np.ndarray:
@@ -276,6 +342,25 @@ def _neighbor_ranks(d: DistanceMatrix) -> np.ndarray:
     n = d.size
     order = np.argsort(d.values, axis=1, kind="stable")
     return order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+
+
+def _root(parent: list[int], u: int) -> int:
+    while parent[u] != u:
+        parent[u] = parent[parent[u]]
+        u = parent[u]
+    return u
+
+
+def _join(parent: list[int], us: Iterable[int], vs: Iterable[int]) -> int:
+    """Union-find over ``parent``: join each pair (u, v); returns the number
+    of joins that merged two components."""
+    merged = 0
+    for u, v in zip(us, vs):
+        ru, rv = _root(parent, u), _root(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            merged += 1
+    return merged
 
 
 def _connecting_k(d: DistanceMatrix) -> int:
@@ -288,58 +373,49 @@ def _connecting_k(d: DistanceMatrix) -> int:
     n = d.size
     ranked = _neighbor_ranks(d)
     parent = list(range(n))
-
-    def root(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
     parts = n
     for k in range(n - 1):
-        for i, j in enumerate(ranked[:, k].tolist()):
-            ri, rj = root(i), root(j)
-            if ri != rj:
-                parent[ri] = rj
-                parts -= 1
+        parts -= _join(parent, range(n), ranked[:, k].tolist())
         if parts == 1:
             return k + 1
     return 1  # a single point
 
 
-def _dijkstra(adjacency, source: int, n: int) -> list[float]:
-    dist = [math.inf] * n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v, w in adjacency[u]:
-            alt = du + w
-            if alt < dist[v]:
-                dist[v] = alt
-                heapq.heappush(heap, (alt, v))
-    return dist
-
-
 def geodesic_matrix(graph: NeighborGraph) -> DistanceMatrix:
-    """All-pairs shortest path distances via one Dijkstra pass per source.
+    """All-pairs shortest path distances by min-plus edge relaxation.
 
-    The result mirrors the upper triangle so it is exactly symmetric. Raises
-    DisconnectedGraphError when any pair is unreachable.
+    For GEODESIC_BLOCK sources s at a time, ``D[t, s]`` starts at 0 where
+    t is s and inf elsewhere; each round sets it to the least of itself and
+    ``D[u, s] + w`` over the edges u -> t with weight w, until no entry falls.
+    Float addition rounds monotonically, and adding w >= 0 never lowers a
+    sum, so round r holds the least left-to-right sum over walks of at most
+    r edges from s, and the fixed point is the least such sum over all paths:
+    bit for bit the distance Dijkstra's ``du + w`` reaches. The sums from s
+    to t and from t to s may differ in the last bit; both triangles of the
+    result take the one from the lower index, so it is exactly symmetric.
+    Raises DisconnectedGraphError when any pair is unreachable.
     """
+    comps = graph.components()
+    if len(comps) > 1:
+        raise DisconnectedGraphError([len(c) for c in comps])
     n = graph.size
-    adjacency = graph.adjacency
-    # one row at a time: n lists of n Python floats would cost ~4x the matrix
-    mat = np.empty((n, n), dtype=np.float64)
-    for s in range(n):
-        mat[s] = _dijkstra(adjacency, s, n)
-    if not np.all(np.isfinite(mat)):
-        sizes = sorted((len(c) for c in graph.components()), reverse=True)
-        raise DisconnectedGraphError(sizes)
-    upper = np.triu(mat, 1)
-    return DistanceMatrix(graph.labels, upper + upper.T)
+    # undirected, so the edges into t are row t; connected, so with n > 1 no
+    # row is empty, as reduceat needs
+    tails, starts = graph.indices, graph.indptr[:-1]
+    weights = graph.weights[:, None]
+    mat = np.empty((n, n), dtype=np.float64)  # mat[t, s]: from source s to t
+    for lo in range(0, n, GEODESIC_BLOCK):
+        hi = min(lo + GEODESIC_BLOCK, n)
+        dist = np.full((n, hi - lo), np.inf)
+        dist[np.arange(lo, hi), np.arange(hi - lo)] = 0.0
+        while n > 1:
+            relax = np.minimum.reduceat(dist[tails] + weights, starts, axis=0)
+            if not np.any(relax < dist):
+                break
+            np.minimum(dist, relax, out=dist)
+        mat[:, lo:hi] = dist
+    lower = np.tril(mat, -1)
+    return DistanceMatrix(graph.labels, lower + lower.T)
 
 
 def isomap(

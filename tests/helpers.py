@@ -7,6 +7,9 @@ the flattened array.
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
 
 from classvec.vectors import LayerManifest, SparseActivationVector
@@ -69,6 +72,24 @@ def floyd_warshall(weights: np.ndarray) -> np.ndarray:
     n = dist.shape[0]
     for k in range(n):
         np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
+    return dist
+
+
+def dijkstra(adjacency, source: int, n: int) -> list[float]:
+    """Shortest path lengths from ``source`` by a heap-ordered search; inf
+    marks no path. Each length is the left-to-right sum along its path."""
+    dist = [math.inf] * n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue
+        for v, w in adjacency[u]:
+            alt = du + w
+            if alt < dist[v]:
+                dist[v] = alt
+                heapq.heappush(heap, (alt, v))
     return dist
 
 

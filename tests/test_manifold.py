@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classvec.errors import DisconnectedGraphError, ValidationError
 from classvec.manifold import (
@@ -17,7 +19,28 @@ from classvec.manifold import (
     knn_graph,
 )
 
-from helpers import floyd_warshall, graph_to_dense, random_dyadic_dmatrix
+from helpers import dijkstra, floyd_warshall, graph_to_dense, random_dyadic_dmatrix
+
+
+@st.composite
+def adjacency_lists(draw):
+    """Per node, (neighbor, weight) pairs of a small undirected graph, often
+    disconnected, with repeated edges and weights that are non-dyadic
+    (0.1 + 0.2 != 0.3), tied or zero."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    weight = st.one_of(
+        st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7]),
+        st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+    )
+    adjacency = [[] for _ in range(n)]
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []:
+        w = draw(weight)
+        adjacency[i].append((j, w))
+        adjacency[j].append((i, w))
+    for row in adjacency:
+        row.reverse()  # the constructor must sort each row itself
+    return adjacency
 
 
 def euclidean_dmatrix(points: np.ndarray, labels=None) -> DistanceMatrix:
@@ -131,6 +154,37 @@ class TestNeighborGraph:
         assert sub.labels == ("c", "d")
         assert sub.adjacency == (((1, 2.0),), ((0, 2.0),))
 
+    @pytest.mark.parametrize(
+        "adjacency, match",
+        [
+            ([[(2, 1.0)], [(0, 1.0)]], r"integers in \[0, 2\)"),
+            ([[(-1, 1.0)], [(0, 1.0)]], r"integers in \[0, 2\)"),
+            ([[(0.5, 1.0)], [(0, 1.0)]], r"integers in \[0, 2\)"),
+            ([[(1, -1.0)], [(0, -1.0)]], "non-negative"),
+            ([[(1, math.nan)], [(0, math.nan)]], "finite"),
+            ([[(1, math.inf)], [(0, math.inf)]], "finite"),
+            ([[(1, 1.0)], []], "both ends"),
+            ([[(1, 1.0)], [(0, 2.0)]], "both ends"),
+            ([[(1, 1.0), (1, 1.0)], [(0, 1.0)]], "both ends"),
+            ([[(1, 1.0, 0)], [(0, 1.0, 0)]], "pairs"),
+        ],
+        ids=[
+            "index-past-end",
+            "index-negative",
+            "index-not-integral",
+            "weight-negative",
+            "weight-nan",
+            "weight-inf",
+            "one-direction",
+            "weights-differ",
+            "repeats-differ",
+            "not-a-pair",
+        ],
+    )
+    def test_bad_adjacency_is_refused(self, adjacency, match):
+        with pytest.raises(ValidationError, match=match):
+            NeighborGraph(["a", "b"], adjacency)
+
     def test_chain_with_k1_is_a_path(self):
         # gaps grow left to right, so each node's nearest is its left peer
         xs = np.cumsum([0.0, 1.0, 1.1, 1.2, 1.3])
@@ -174,6 +228,22 @@ class TestGeodesics:
             checked_connected += 1
         assert checked_connected >= 20
 
+    @settings(max_examples=300)
+    @given(adjacency=adjacency_lists())
+    def test_matches_dijkstra_oracle_bitwise(self, adjacency):
+        n = len(adjacency)
+        graph = NeighborGraph([f"v{i}" for i in range(n)], adjacency)
+        rows = np.array([dijkstra(adjacency, s, n) for s in range(n)])
+        reach = sorted({tuple(np.flatnonzero(np.isfinite(row)).tolist()) for row in rows})
+        assert graph.components() == [list(c) for c in reach]
+        if len(reach) > 1:
+            with pytest.raises(DisconnectedGraphError) as exc:
+                geodesic_matrix(graph)
+            assert exc.value.component_sizes == tuple(sorted(map(len, reach), reverse=True))
+            return
+        upper = np.triu(rows, 1)  # each pair summed from its lower index
+        assert np.array_equal(geodesic_matrix(graph).values, upper + upper.T)
+
     def test_geodesics_dominate_metric_input_distances(self):
         # holds because euclidean input obeys the triangle inequality
         rng = np.random.default_rng(127)
@@ -216,6 +286,14 @@ class TestIsomap:
         with pytest.warns(UserWarning, match="largest"):
             emb = isomap(d, k_neighbors=1, dims=1, largest_component=True)
         assert emb.labels == ("p00", "p01", "p02")
+
+    def test_largest_component_tie_keeps_the_lowest_index(self):
+        # two pairs far apart, {0, 3} and {1, 2}; the one holding index 0 wins
+        xs = np.array([10.0, 0.0, 1.0, 11.0])[:, None]
+        d = euclidean_dmatrix(xs)
+        with pytest.warns(UserWarning, match="largest"):
+            emb = isomap(d, k_neighbors=1, dims=1, largest_component=True)
+        assert emb.labels == ("p00", "p03")
 
     def test_reported_k_is_the_smallest_that_connects(self):
         rng = np.random.default_rng(131)
