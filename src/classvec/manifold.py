@@ -7,13 +7,16 @@ the eigenvalue spectrum so callers can judge how much structure the retained
 dimensions carry.
 
 The neighbor graph is held as CSR arrays, and its shortest paths come from
-min-plus relaxation of every edge for a block of sources at once. Because
-float addition rounds monotonically, the result is bit for bit the one a
-Dijkstra search from each source gives; ``geodesic_matrix`` states why.
+min-plus relaxation of every edge for a block of sources at once, or from a
+Dijkstra search per source on graphs too long in hops for relaxation to pay.
+Because float addition rounds monotonically, both give the same bits;
+``geodesic_matrix`` states why.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import warnings
 from itertools import chain
 from typing import Iterable, Sequence
@@ -24,8 +27,10 @@ from .errors import ClassVecError, DisconnectedGraphError, ValidationError
 
 SYMMETRY_TOL = 1e-12
 EIGEN_RESIDUAL_TOL = 1e-9
-# Sources relaxed together by geodesic_matrix; see CHANGES.md for the measurement.
+# Sources relaxed together by geodesic_matrix, and the rounds a block may take
+# before the sources left go to Dijkstra; see CHANGES.md for the measurements.
 GEODESIC_BLOCK = 16
+GEODESIC_ROUNDS = 16
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -390,32 +395,75 @@ def geodesic_matrix(graph: NeighborGraph) -> DistanceMatrix:
     Float addition rounds monotonically, and adding w >= 0 never lowers a
     sum, so round r holds the least left-to-right sum over walks of at most
     r edges from s, and the fixed point is the least such sum over all paths:
-    bit for bit the distance Dijkstra's ``du + w`` reaches. The sums from s
-    to t and from t to s may differ in the last bit; both triangles of the
-    result take the one from the lower index, so it is exactly symmetric.
-    Raises DisconnectedGraphError when any pair is unreachable.
+    bit for bit the distance Dijkstra's ``du + w`` reaches.
+
+    A block needs one round per edge on its longest shortest path, plus one,
+    so a graph that is long in hops (a path, an arc, a swiss roll) makes
+    relaxation slower than Dijkstra. When a block has not settled after
+    GEODESIC_ROUNDS rounds, it and every later source get a Dijkstra search
+    instead, with the same result.
+
+    The sums from s to t and from t to s may differ in the last bit; both
+    triangles of the result take the one from the lower index, so it is
+    exactly symmetric. Raises DisconnectedGraphError when any pair is
+    unreachable.
     """
-    comps = graph.components()
-    if len(comps) > 1:
-        raise DisconnectedGraphError([len(c) for c in comps])
     n = graph.size
-    # undirected, so the edges into t are row t; connected, so with n > 1 no
-    # row is empty, as reduceat needs
+    if n > 1 and not np.all(np.diff(graph.indptr)):  # reduceat needs every row
+        raise _disconnected(graph)
+    mat = np.empty((n, n), dtype=np.float64)  # mat[t, s]: from source s to t
+    relaxed = _relax_blocks(graph, mat) if n > 1 else 0
+    if relaxed < n:
+        adjacency = graph.adjacency
+        for s in range(relaxed, n):
+            mat[:, s] = _dijkstra(adjacency, s, n)
+    if not np.all(np.isfinite(mat)):
+        raise _disconnected(graph)
+    lower = np.tril(mat, -1)
+    return DistanceMatrix(graph.labels, lower + lower.T)
+
+
+def _relax_blocks(graph: NeighborGraph, mat: np.ndarray) -> int:
+    """Fill ``mat[:, s]`` block by block, as ``geodesic_matrix`` describes,
+    up to the first block that has not settled after GEODESIC_ROUNDS rounds;
+    returns the number of sources filled."""
+    n = graph.size
+    # undirected, so the edges into t are row t
     tails, starts = graph.indices, graph.indptr[:-1]
     weights = graph.weights[:, None]
-    mat = np.empty((n, n), dtype=np.float64)  # mat[t, s]: from source s to t
     for lo in range(0, n, GEODESIC_BLOCK):
         hi = min(lo + GEODESIC_BLOCK, n)
         dist = np.full((n, hi - lo), np.inf)
         dist[np.arange(lo, hi), np.arange(hi - lo)] = 0.0
-        while n > 1:
+        for _ in range(GEODESIC_ROUNDS):
             relax = np.minimum.reduceat(dist[tails] + weights, starts, axis=0)
             if not np.any(relax < dist):
                 break
             np.minimum(dist, relax, out=dist)
+        else:
+            return lo
         mat[:, lo:hi] = dist
-    lower = np.tril(mat, -1)
-    return DistanceMatrix(graph.labels, lower + lower.T)
+    return n
+
+
+def _dijkstra(adjacency, source: int, n: int) -> list[float]:
+    dist = [math.inf] * n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue
+        for v, w in adjacency[u]:
+            alt = du + w
+            if alt < dist[v]:
+                dist[v] = alt
+                heapq.heappush(heap, (alt, v))
+    return dist
+
+
+def _disconnected(graph: NeighborGraph) -> DisconnectedGraphError:
+    return DisconnectedGraphError([len(c) for c in graph.components()])
 
 
 def isomap(

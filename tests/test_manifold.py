@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classvec import manifold
 from classvec.errors import DisconnectedGraphError, ValidationError
 from classvec.manifold import (
     DistanceMatrix,
@@ -229,20 +231,48 @@ class TestGeodesics:
         assert checked_connected >= 20
 
     @settings(max_examples=300)
-    @given(adjacency=adjacency_lists())
-    def test_matches_dijkstra_oracle_bitwise(self, adjacency):
+    @given(adjacency=adjacency_lists(), block=st.integers(1, 5), rounds=st.integers(1, 10))
+    def test_matches_dijkstra_oracle_bitwise(self, adjacency, block, rounds):
+        # small blocks and round limits put several blocks, a short last one
+        # and the hand-over to Dijkstra inside graphs of a few nodes
         n = len(adjacency)
         graph = NeighborGraph([f"v{i}" for i in range(n)], adjacency)
         rows = np.array([dijkstra(adjacency, s, n) for s in range(n)])
         reach = sorted({tuple(np.flatnonzero(np.isfinite(row)).tolist()) for row in rows})
         assert graph.components() == [list(c) for c in reach]
-        if len(reach) > 1:
-            with pytest.raises(DisconnectedGraphError) as exc:
-                geodesic_matrix(graph)
-            assert exc.value.component_sizes == tuple(sorted(map(len, reach), reverse=True))
-            return
+        with mock.patch.object(manifold, "GEODESIC_BLOCK", block), mock.patch.object(
+            manifold, "GEODESIC_ROUNDS", rounds
+        ):
+            if len(reach) > 1:
+                with pytest.raises(DisconnectedGraphError) as exc:
+                    geodesic_matrix(graph)
+                assert exc.value.component_sizes == tuple(sorted(map(len, reach), reverse=True))
+                return
+            got = geodesic_matrix(graph).values
         upper = np.triu(rows, 1)  # each pair summed from its lower index
-        assert np.array_equal(geodesic_matrix(graph).values, upper + upper.T)
+        assert np.array_equal(got, upper + upper.T)
+
+    @pytest.mark.parametrize("shape, searches", [("cloud", 0), ("path", 60)])
+    def test_long_graphs_go_to_dijkstra_with_the_same_bits(self, shape, searches):
+        # 60 nodes fill three blocks and a short fourth; a path is 59 hops
+        # long, so its first block runs out of rounds and every source is
+        # searched, while a 4-NN cloud settles within a few rounds
+        rng = np.random.default_rng(137)
+        if shape == "cloud":
+            graph = knn_graph(euclidean_dmatrix(rng.random((60, 3))), 4)
+        else:
+            w = rng.random(59).tolist()
+            graph = NeighborGraph(
+                [f"v{i}" for i in range(60)],
+                [[(j, w[min(i, j)]) for j in (i - 1, i + 1) if 0 <= j < 60] for i in range(60)],
+            )
+        adjacency = graph.adjacency
+        rows = np.array([dijkstra(adjacency, s, 60) for s in range(60)])
+        with mock.patch.object(manifold, "_dijkstra", wraps=manifold._dijkstra) as search:
+            got = geodesic_matrix(graph).values
+        assert search.call_count == searches
+        upper = np.triu(rows, 1)
+        assert np.array_equal(got, upper + upper.T)
 
     def test_geodesics_dominate_metric_input_distances(self):
         # holds because euclidean input obeys the triangle inequality
