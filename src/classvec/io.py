@@ -7,8 +7,9 @@ CSVs, equation tables, and 2-D scatter SVGs. All text is UTF-8 with LF
 line endings; reals use Python's shortest round-trip representation except
 CSV matrix cells, which carry 9 significant digits.
 
-Every tab-separated loader reads its file one line at a time: lines are
-numbered from 1, the trailing LF is dropped, a line that then ends in CR
+Every loader reads its file one line at a time, and a line holding a byte
+that is not valid UTF-8 is refused. Every tab-separated loader numbers its
+lines from 1, the trailing LF is dropped, a line that then ends in CR
 (a CRLF line ending) is refused, blank lines are skipped, and every other
 line must split at its tabs into the format's fixed number of fields. CSV
 loaders read a header row, skip empty rows and require as many cells in
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import csv
 import html
-from itertools import chain
+from bisect import bisect_right
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -74,8 +75,22 @@ def _check_layer_id(layer_id: str) -> None:
         raise ValidationError(f"layer_id {layer_id!r} is empty or contains whitespace")
 
 
-def _open_read(path) -> IO[str]:
-    return open(path, "r", encoding="utf-8", newline="")
+def _read_lines(path) -> Iterator[str]:
+    """The file's lines with their line endings, read one at a time.
+
+    A byte that is not part of valid UTF-8 raises a FormatError at its line.
+    Such bytes decode to lone surrogates, which valid UTF-8 never yields,
+    and an all-ASCII line (the common case, tested in O(1)) cannot hold one.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise FormatError(path, lineno, f"byte 0x{byte:02x} is not valid UTF-8") from None
+            yield line
 
 
 def _open_write(path) -> IO[str]:
@@ -88,34 +103,32 @@ def _tsv_rows(path, n_fields: int, expected: str) -> Iterator[tuple[int, list[st
     A line that does not split into ``n_fields`` fields raises a FormatError
     whose message is ``expected`` formatted with the count it has.
     """
-    with _open_read(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line.endswith("\r"):
-                raise FormatError(path, lineno, "line ends in CR (CRLF line ending); expected LF")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise FormatError(path, lineno, expected.format(len(fields)))
-            yield lineno, fields
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.rstrip("\n")
+        if line.endswith("\r"):
+            raise FormatError(path, lineno, "line ends in CR (CRLF line ending); expected LF")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise FormatError(path, lineno, expected.format(len(fields)))
+        yield lineno, fields
 
 
 def _csv_rows(path, what: str) -> Iterator:
     """The header row, then (row number, cells) of each non-empty row, read
     one at a time; ``what`` names the file in the empty-file error."""
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(path, 1, f"{what} is empty")
-        yield header
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(path, lineno, f"expected {len(header)} cells, got {len(row)}")
-            yield lineno, row
+    reader = csv.reader(_read_lines(path))
+    header = next(reader, None)
+    if header is None:
+        raise FormatError(path, 1, f"{what} is empty")
+    yield header
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise FormatError(path, lineno, f"expected {len(header)} cells, got {len(row)}")
+        yield lineno, row
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:
@@ -244,41 +257,31 @@ def _parse_triplets(
         raise FormatError(path, lineno, str(exc)) from None
 
 
-class _LayerHeads(dict):
-    """Index in one layer -> its " layer_id:i:" head.
+class _Heads(dict):
+    """Flattened index in one manifest -> its " layer_id:i:" head.
 
-    The layer id is checked when the table is made. The table keeps at
-    most ``cap`` heads and starts afresh when full: the images of one class
-    share most of their heads, so the heads in use come back at once.
+    A layer id is checked when the first of its heads is made. The table
+    keeps at most ``cap`` heads and starts afresh when full: the images of
+    one class share most of their heads, so the heads in use come back at
+    once. A 200-class generated set has 36,180 distinct heads.
     """
 
-    __slots__ = ("prefix",)
-    cap = 1 << 12
+    __slots__ = ("manifest", "_starts")
+    cap = 1 << 16
 
-    def __init__(self, layer_id: str):
-        super().__init__()
-        _check_layer_id(layer_id)
-        self.prefix = f" {layer_id}:"
-
-    def __missing__(self, i: int) -> str:
-        if len(self) >= self.cap:
-            self.clear()
-        head = self[i] = f"{self.prefix}{i}:"
-        return head
-
-
-class _Heads(dict):
-    """Layer id -> its _LayerHeads, for the layers of one manifest."""
-
-    __slots__ = ("manifest",)
-
-    def __init__(self, manifest: LayerManifest | None):
+    def __init__(self, manifest: LayerManifest):
         super().__init__()
         self.manifest = manifest
+        self._starts = manifest._starts.tolist()
 
-    def __missing__(self, layer_id: str) -> _LayerHeads:
-        heads = self[layer_id] = _LayerHeads(layer_id)
-        return heads
+    def __missing__(self, key: int) -> str:
+        if len(self) >= self.cap:
+            self.clear()
+        position = bisect_right(self._starts, key) - 1
+        layer_id = self.manifest.layers[position].layer_id
+        _check_layer_id(layer_id)
+        head = self[key] = f" {layer_id}:{key - self._starts[position]}:"
+        return head
 
 
 class _Texts(dict):
@@ -302,21 +305,21 @@ class _TripletMemo:
     """The text pieces of one write call's triplet fields.
 
     ``heads`` serves the manifest of the latest vector and starts afresh
-    when a vector of another manifest comes, so it holds at most one
-    manifest's layers x _LayerHeads.cap heads. Once ``texts`` is full, values
-    have shown that they seldom repeat (class embeddings, for one), and the
-    rest are formatted directly.
+    when a vector of another manifest comes, so it holds at most
+    _Heads.cap heads of one manifest. Once ``texts`` is full, values have
+    shown that they seldom repeat (class embeddings, for one), and the rest
+    are formatted directly.
     """
 
     def __init__(self):
-        self.heads = _Heads(None)
+        self.heads: _Heads | None = None
         self.texts = _Texts()
 
-    def heads_of(self, vector: SparseActivationVector) -> Iterator[_LayerHeads]:
-        """The head tables of the vector's stored layers, in manifest order."""
-        if vector.manifest is not self.heads.manifest:
+    def heads_of(self, vector: SparseActivationVector) -> Iterator[str]:
+        """The heads of the vector's entries, in flattened-index order."""
+        if self.heads is None or vector.manifest is not self.heads.manifest:
             self.heads = _Heads(vector.manifest)
-        return map(self.heads.__getitem__, vector._data)
+        return map(self.heads.__getitem__, vector._keys.tolist())
 
     def texts_of(self, values: list[float]) -> Iterator[str]:
         texts = self.texts
@@ -324,18 +327,14 @@ class _TripletMemo:
 
 
 def _format_triplets(vector: SparseActivationVector, memo: _TripletMemo) -> str:
-    """The vector's triplet field, layer by layer in manifest order."""
+    """The vector's triplet field, in flattened-index (so manifest) order."""
     if vector.is_zero:
         return ""
-    indices, values = zip(*vector._data.values())
-    values = np.concatenate(values).tolist()
     # head and text pieces joined at once, with no string made per triplet;
     # every head starts with the space that separates it from the triplet before
-    pieces = [""] * (2 * len(values))
-    pieces[0::2] = chain.from_iterable(
-        map(heads.__getitem__, idx.tolist()) for heads, idx in zip(memo.heads_of(vector), indices)
-    )
-    pieces[1::2] = memo.texts_of(values)
+    pieces = [""] * (2 * vector.nnz)
+    pieces[0::2] = memo.heads_of(vector)
+    pieces[1::2] = memo.texts_of(vector._values.tolist())
     return "".join(pieces)[1:]
 
 

@@ -161,6 +161,10 @@ def classical_mds(d: DistanceMatrix, k: int) -> EmbeddingCoordinates:
     component is made positive (first index wins ties), so output is
     deterministic. If fewer than k eigenvalues are positive, a warning is
     issued and only the positive ones become columns.
+
+    The eigendecomposition runs in LAPACK through np.linalg.eigh, whose last
+    bits depend on the BLAS thread count, so the coordinates and eigenvalues
+    are bit-reproducible only at a fixed thread count.
     """
     k = int(k)
     if k < 1:
@@ -480,6 +484,9 @@ def isomap(
     ``largest_component`` is set, in which case the embedding covers only
     the largest component (ties broken toward the lowest-index node) and a
     warning reports how many points were dropped.
+
+    The geodesics are bit-reproducible; the embedding is so only at a fixed
+    BLAS thread count, as classical_mds explains.
     """
     if int(dims) < 1:
         raise ValidationError(f"dims must be >= 1, got {dims}")

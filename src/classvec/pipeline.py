@@ -120,7 +120,8 @@ def aggregate(images: Sequence[SparseActivationVector], mode: str) -> SparseActi
     arithmetic: sum/n over the union of supports. geometric ((prod)^(1/n),
     taken as exp(mean(log v))) and harmonic (n/sum(1/v)) are zero wherever
     any image lacks the feature, so their support is the intersection. A feature whose value is identical
-    in every image keeps that exact value under all three modes.
+    in every image keeps that exact value under all three modes. Each feature
+    sums its values in the order of ``images``.
     """
     if mode not in AGGREGATION_MODES:
         raise ValidationError(f"aggregation must be one of {AGGREGATION_MODES}, got {mode!r}")
@@ -135,50 +136,43 @@ def aggregate(images: Sequence[SparseActivationVector], mode: str) -> SparseActi
     if n == 1:
         return images[0]
 
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    layer_ids = sorted({lid for img in images for lid in img.stored_layers})
+    # every image's flat entries in image order, so each feature sums in that order
+    keys = np.concatenate([img._keys for img in images])
+    values = np.concatenate([img._values for img in images])
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+
+    lo = np.full(uniq.size, np.inf)
+    hi = np.full(uniq.size, -np.inf)
+    np.minimum.at(lo, inverse, values)
+    np.maximum.at(hi, inverse, values)
+    constant = (counts == n) & (lo == hi)
+
     inv_n = 1.0 / n
-    for lid in layer_ids:
-        parts_idx = []
-        parts_val = []
-        for img in images:
-            idx, val = img.layer(lid)
-            if idx.size:
-                parts_idx.append(idx)
-                parts_val.append(val)
-        cat_idx = np.concatenate(parts_idx)
-        cat_val = np.concatenate(parts_val)
-        uniq, inverse, counts = np.unique(cat_idx, return_inverse=True, return_counts=True)
+    acc = np.zeros(uniq.size)
+    if mode == "arithmetic":
+        np.add.at(acc, inverse, values)
+        mean = acc * inv_n
+        keep = np.ones(uniq.size, dtype=bool)
+    elif mode == "geometric":
+        # in log space: the product of many images' values under- or overflows
+        np.add.at(acc, inverse, np.log(values))
+        mean = np.exp(acc * inv_n)
+        keep = counts == n
+    else:
+        np.add.at(acc, inverse, 1.0 / values)
+        with np.errstate(divide="ignore"):
+            mean = n / acc
+        keep = counts == n
+    mean = np.where(constant, lo, mean)
 
-        lo = np.full(uniq.size, np.inf)
-        hi = np.full(uniq.size, -np.inf)
-        np.minimum.at(lo, inverse, cat_val)
-        np.maximum.at(hi, inverse, cat_val)
-        constant = (counts == n) & (lo == hi)
-
-        if mode == "arithmetic":
-            acc = np.zeros(uniq.size)
-            np.add.at(acc, inverse, cat_val)
-            mean = acc * inv_n
-            keep = np.ones(uniq.size, dtype=bool)
-        elif mode == "geometric":
-            # in log space: the product of many images' values under- or overflows
-            acc = np.zeros(uniq.size)
-            np.add.at(acc, inverse, np.log(cat_val))
-            mean = np.exp(acc * inv_n)
-            keep = counts == n
-        else:
-            acc = np.zeros(uniq.size)
-            np.add.at(acc, inverse, 1.0 / cat_val)
-            with np.errstate(divide="ignore"):
-                mean = n / acc
-            keep = counts == n
-        mean = np.where(constant, lo, mean)
-
-        keep &= mean > 0
-        if keep.any():
-            out[lid] = (uniq[keep], mean[keep])
-    return SparseActivationVector(manifest, out)
+    keep &= mean > 0
+    keys, values = uniq[keep], mean[keep]
+    overflowed = keys[values == np.inf]
+    if overflowed.size:  # a sum of finite values; the error names the first such layer by id
+        positions = np.searchsorted(manifest._starts, overflowed, side="right") - 1
+        layer_id = min(manifest.layers[p].layer_id for p in positions.tolist())
+        raise ValidationError(f"layer {layer_id!r}: non-finite activation value")
+    return SparseActivationVector._trusted(manifest, keys, values)
 
 
 def _normalize(vector: SparseActivationVector, scope: str) -> SparseActivationVector:

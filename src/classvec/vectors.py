@@ -1,12 +1,17 @@
 """Sparse layered activation vectors and their arithmetic.
 
 Every vector is addressed through a LayerManifest: an ordered list of named
-layers, each carrying a group tag and a dimension. Entries are stored per
-layer as index-sorted arrays, so binary operations are linear merges over the
-stored entries and never touch absent coordinates; layer_blocks packs many
-vectors into dense per-layer blocks for all-pairs work. Vectors are immutable
-after construction; all operations return new vectors and are safe to call
-concurrently.
+layers, each carrying a group tag and a dimension. A vector stores its
+entries once, as two flat arrays sorted by flattened index (offset_of(layer)
++ i), so each layer's entries are one contiguous run and the layers come in
+manifest order. Elementwise operations (subtract, apply_threshold,
+normalize_whole, restrict_to_groups) work on the flat arrays; dot, the
+norms and cosine add one term per stored layer, in manifest order, and
+normalize_by_layer takes one norm per stored layer. Binary operations are
+linear merges over the stored entries and never touch absent coordinates;
+layer_blocks packs many vectors into dense per-layer blocks for all-pairs
+work. Vectors are immutable after construction; all operations return new
+vectors and are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -203,40 +208,30 @@ def _first_fault(manifest: LayerManifest, pos: np.ndarray, idx: np.ndarray, val:
     raise AssertionError("no faulty layer among the entries")
 
 
-def _split_layers(
+def _flat_entries(
     manifest: LayerManifest, pos: np.ndarray, idx: np.ndarray, val: np.ndarray
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Flat entries as locked per-layer (indices, values) in manifest order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat entries as (flattened index, value) arrays, indices ascending.
 
     pos holds each entry's layer position in the manifest and idx its index in
     that layer. Indices must be in range and values finite and >= 0; the
-    arrays must not be shared with the caller's data. Entries are sorted by
-    (layer, index) and zeros are dropped. A repeated index raises the
-    ValidationError of the first layer, in order of appearance, that repeats one.
+    arrays must not be shared with the caller's data. Zeros are dropped. A
+    repeated index raises the ValidationError of the first layer, in order of
+    appearance, that repeats one.
     """
     if not idx.size:
-        return {}
+        return _EMPTY_KEYS, _EMPTY_VALUES
     key = manifest._starts[pos] + idx  # the flattened index
     if not np.all(key[1:] > key[:-1]):
         order = np.argsort(key, kind="stable")
         key = key[order]
         if np.any(key[1:] == key[:-1]):
             raise _first_fault(manifest, pos, idx, val)
-        pos, idx, val = pos[order], idx[order], val[order]
+        val = val[order]
     keep = val > 0  # explicit zeros are never stored
     if not keep.all():
-        pos, idx, val = pos[keep], idx[keep], val[keep]
-        if not idx.size:
-            return {}
-    # views of locked arrays are read-only too
-    idx = _lock(idx)
-    val = _lock(val)
-    bounds = [0, *(np.flatnonzero(pos[1:] != pos[:-1]) + 1).tolist(), pos.size]
-    layers = manifest.layers
-    return {
-        layers[p].layer_id: (idx[a:b], val[a:b])
-        for p, a, b in zip(pos[bounds[:-1]].tolist(), bounds, bounds[1:])
-    }
+        key, val = key[keep], val[keep]
+    return key, val
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -244,21 +239,25 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-_EMPTY_IDX = _lock(np.empty(0, dtype=np.int64))
-_EMPTY_VAL = _lock(np.empty(0, dtype=np.float64))
+_EMPTY_KEYS = _lock(np.empty(0, dtype=np.int64))
+_EMPTY_VALUES = _lock(np.empty(0, dtype=np.float64))
 
 
 class SparseActivationVector:
-    """Non-negative sparse activations segmented by manifest layer.
+    """Non-negative sparse activations in a manifest's coordinate system.
 
-    Within each layer, indices are strictly increasing and values strictly
-    positive (explicit zeros are dropped at construction). Constructed
-    vectors store their layers in manifest order, whatever order the entries
-    mapping lists them in, so sums over the layers run in one order. Two
-    vectors are operable together only when their manifests compare equal.
+    The entries are stored once, flat: ``_keys`` holds their flattened
+    indices (offset_of(layer) + i), strictly increasing, and ``_values``
+    their values, strictly positive (explicit zeros are dropped at
+    construction); both arrays are read-only. Sorting by flattened index puts
+    the layers in manifest order, whatever order the entries mapping lists
+    them in, so sums over the layers run in one order. The per-layer
+    (indices, values) view that layer(), stored_layers and iter_entries
+    read is derived on first use and kept. Two vectors are operable together
+    only when their manifests compare equal.
     """
 
-    __slots__ = ("manifest", "_data")
+    __slots__ = ("manifest", "_keys", "_values", "_layers")
 
     def __init__(self, manifest: LayerManifest, entries: Mapping[str, object] | None = None):
         positions, idx_parts, val_parts = [], [], []
@@ -275,7 +274,7 @@ class SparseActivationVector:
             positions.append(position)
             idx_parts.append(idx)
             val_parts.append(val)
-        data = {}
+        keys, values = _EMPTY_KEYS, _EMPTY_VALUES
         if idx_parts:
             # every layer's checks in one pass over the concatenated entries
             pos = np.repeat(positions, [part.size for part in idx_parts])
@@ -284,72 +283,96 @@ class SparseActivationVector:
             ok = (idx >= 0) & (idx < manifest._dims[pos]) & (val >= 0) & (val < np.inf)
             if not ok.all():
                 raise _first_fault(manifest, pos, idx, val)
-            data = _split_layers(manifest, pos, idx, val)
+            keys, values = _flat_entries(manifest, pos, idx, val)
         if late_fault is not None:
             raise late_fault
         self.manifest = manifest
-        self._data = data
+        self._keys = _lock(keys)
+        self._values = _lock(values)
+        self._layers = None
 
     @classmethod
-    def _trusted(cls, manifest: LayerManifest, data: dict[str, tuple[np.ndarray, np.ndarray]]):
-        """Internal fast path; arrays must already be sorted, positive, locked."""
+    def _trusted(cls, manifest: LayerManifest, keys: np.ndarray, values: np.ndarray):
+        """Internal fast path for flat entries: keys strictly increasing flattened
+        indices, values finite and > 0, neither shared with the caller's data.
+        Both arrays are locked here."""
         v = object.__new__(cls)
         v.manifest = manifest
-        v._data = data
+        v._keys = _lock(keys)
+        v._values = _lock(values)
+        v._layers = None
         return v
 
     @classmethod
     def _from_checked(
         cls, manifest: LayerManifest, pos: np.ndarray, idx: np.ndarray, val: np.ndarray
     ) -> "SparseActivationVector":
-        """Internal fast path for flat entries already checked for range and value.
+        """Internal fast path for entries already checked for range and value.
 
-        The arrays are those of _split_layers, which sorts them, drops zeros
+        The arrays are those of _flat_entries, which sorts them, drops zeros
         and refuses repeated indices.
         """
-        return cls._trusted(manifest, _split_layers(manifest, pos, idx, val))
+        return cls._trusted(manifest, *_flat_entries(manifest, pos, idx, val))
 
     @classmethod
     def empty(cls, manifest: LayerManifest) -> "SparseActivationVector":
-        return cls._trusted(manifest, {})
+        return cls._trusted(manifest, _EMPTY_KEYS, _EMPTY_VALUES)
+
+    def _bounds(self) -> list[int]:
+        """Where each manifest layer's entries start in the flat arrays, then their end."""
+        return [*np.searchsorted(self._keys, self.manifest._starts).tolist(), self._keys.size]
+
+    @property
+    def _data(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Stored layer id -> read-only (indices, values), in manifest order.
+
+        Made on first use and kept; a first use from two threads at once makes
+        it twice, and either copy serves."""
+        layers = self._layers
+        if layers is None:
+            bounds = self._bounds()
+            starts = self.manifest._starts
+            # views of locked arrays are read-only too
+            idx = _lock(self._keys - np.repeat(starts, np.diff(bounds)))
+            layers = {
+                spec.layer_id: (idx[a:b], self._values[a:b])
+                for spec, a, b in zip(self.manifest.layers, bounds, bounds[1:])
+                if a < b
+            }
+            self._layers = layers
+        return layers
 
     def layer(self, layer_id: str) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (indices, values) for one layer; empty arrays if silent."""
         self.manifest.spec_of(layer_id)
-        return self._data.get(layer_id, (_EMPTY_IDX, _EMPTY_VAL))
+        return self._data.get(layer_id, (_EMPTY_KEYS, _EMPTY_VALUES))
 
     @property
     def stored_layers(self) -> tuple[str, ...]:
         """Ids of layers holding at least one entry, manifest order."""
-        return tuple(lid for lid in self.manifest.layer_ids if lid in self._data)
+        return tuple(self._data)
 
     @property
     def nnz(self) -> int:
-        return sum(idx.size for idx, _ in self._data.values())
+        return self._keys.size
 
     @property
     def is_zero(self) -> bool:
-        return not self._data
+        return not self._keys.size
 
     def iter_entries(self) -> Iterator[tuple[str, int, float]]:
         """(layer_id, index, value) triples in canonical order."""
-        for lid in self.manifest.layer_ids:
-            got = self._data.get(lid)
-            if got is None:
-                continue
-            idx, val = got
+        for lid, (idx, val) in self._data.items():
             for i, v in zip(idx.tolist(), val.tolist()):
                 yield lid, i, v
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseActivationVector):
             return NotImplemented
-        if self.manifest != other.manifest or self._data.keys() != other._data.keys():
-            return False
-        return all(
-            np.array_equal(self._data[k][0], other._data[k][0])
-            and np.array_equal(self._data[k][1], other._data[k][1])
-            for k in self._data
+        return (
+            self.manifest == other.manifest
+            and np.array_equal(self._keys, other._keys)
+            and np.array_equal(self._values, other._values)
         )
 
     def __repr__(self) -> str:
@@ -381,21 +404,22 @@ def _align(src_idx: np.ndarray, src_val: np.ndarray, dst_idx: np.ndarray):
 def dot(a: SparseActivationVector, b: SparseActivationVector) -> float:
     """Inner product over shared coordinates."""
     _require_same_manifest(a, b, "dot")
+    a_bounds, b_bounds = a._bounds(), b._bounds()
     total = 0.0
-    for lid in a._data:
-        if lid not in b._data:
-            continue
-        ai, av = a._data[lid]
-        bi, bv = b._data[lid]
-        b_at_a, _ = _align(bi, bv, ai)
-        total += float(np.dot(av, b_at_a))
+    for p in range(len(a.manifest)):
+        a_lo, a_hi, b_lo, b_hi = a_bounds[p], a_bounds[p + 1], b_bounds[p], b_bounds[p + 1]
+        if a_lo < a_hi and b_lo < b_hi:  # a layer both vectors store
+            b_at_a, _ = _align(b._keys[b_lo:b_hi], b._values[b_lo:b_hi], a._keys[a_lo:a_hi])
+            total += float(np.dot(a._values[a_lo:a_hi], b_at_a))
     return total
 
 
 def _sq_norm(v: SparseActivationVector) -> float:
     sq = 0.0
-    for _, val in v._data.values():
-        sq += float(np.dot(val, val))
+    bounds = v._bounds()
+    for a, b in zip(bounds, bounds[1:]):
+        segment = v._values[a:b]  # one layer's values; empty if silent
+        sq += float(np.dot(segment, segment))
     return sq
 
 
@@ -458,14 +482,16 @@ def layer_blocks(vectors: Sequence[SparseActivationVector]) -> Iterator[np.ndarr
         return
     n = len(vectors)
     width = max(1, _BLOCK_CELLS // n)
-    for lid in vectors[0].manifest.layer_ids:
-        rows = [r for r, v in enumerate(vectors) if lid in v._data]
-        if not rows:
+    bounds = [v._bounds() for v in vectors]
+    for p in range(len(vectors[0].manifest)):
+        runs = [(r, b[p], b[p + 1]) for r, b in enumerate(bounds) if b[p] < b[p + 1]]
+        if not runs:
             continue
-        parts = [vectors[r]._data[lid] for r in rows]
-        row = np.repeat(rows, [idx.size for idx, _ in parts])
-        support, col = np.unique(np.concatenate([idx for idx, _ in parts]), return_inverse=True)
-        val = np.concatenate([val for _, val in parts])
+        row = np.repeat([r for r, _, _ in runs], [hi - lo for _, lo, hi in runs])
+        # within a layer, flattened indices sort as the layer's own indices do
+        keys = np.concatenate([vectors[r]._keys[lo:hi] for r, lo, hi in runs])
+        support, col = np.unique(keys, return_inverse=True)
+        val = np.concatenate([vectors[r]._values[lo:hi] for r, lo, hi in runs])
         for start in range(0, support.size, width):
             sel = (col >= start) & (col < start + width)
             block = np.zeros((n, min(width, support.size - start)))
@@ -480,19 +506,10 @@ def subtract(a: SparseActivationVector, b: SparseActivationVector) -> SparseActi
     operation is not commutative.
     """
     _require_same_manifest(a, b, "subtract")
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for lid in a._data:
-        ai, av = a._data[lid]
-        bi, bv = b.layer(lid)
-        if bi.size == 0:
-            out[lid] = (ai, av)
-            continue
-        b_at_a, _ = _align(bi, bv, ai)
-        diff = av - b_at_a
-        keep = diff > 0
-        if keep.any():
-            out[lid] = (_lock(ai[keep]), _lock(diff[keep]))
-    return SparseActivationVector._trusted(a.manifest, out)
+    b_at_a, _ = _align(b._keys, b._values, a._keys)
+    diff = a._values - b_at_a
+    keep = diff > 0
+    return SparseActivationVector._trusted(a.manifest, a._keys[keep], diff[keep])
 
 
 def apply_threshold(v: SparseActivationVector, t: float) -> SparseActivationVector:
@@ -500,16 +517,10 @@ def apply_threshold(v: SparseActivationVector, t: float) -> SparseActivationVect
     t = float(t)
     if t < 0:
         raise ValidationError(f"threshold must be non-negative, got {t}")
-    if t == 0:
+    keep = v._values >= t
+    if keep.all():
         return v
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for lid, (idx, val) in v._data.items():
-        keep = val >= t
-        if keep.all():
-            out[lid] = (idx, val)
-        elif keep.any():
-            out[lid] = (_lock(idx[keep]), _lock(val[keep]))
-    return SparseActivationVector._trusted(v.manifest, out)
+    return SparseActivationVector._trusted(v.manifest, v._keys[keep], v._values[keep])
 
 
 def normalize_by_layer(v: SparseActivationVector) -> SparseActivationVector:
@@ -518,11 +529,13 @@ def normalize_by_layer(v: SparseActivationVector) -> SparseActivationVector:
     Silent (all-zero) layers stay silent rather than raising: sparse class
     vectors legitimately have layers with no activation at all.
     """
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for lid, (idx, val) in v._data.items():
-        norm = float(np.sqrt(np.dot(val, val)))
-        out[lid] = (idx, _lock(val / norm))
-    return SparseActivationVector._trusted(v.manifest, out)
+    bounds = v._bounds()
+    values = np.empty_like(v._values)
+    for a, b in zip(bounds, bounds[1:]):
+        if a < b:
+            segment = v._values[a:b]
+            values[a:b] = segment / float(np.sqrt(np.dot(segment, segment)))
+    return SparseActivationVector._trusted(v.manifest, v._keys, values)
 
 
 def normalize_whole(v: SparseActivationVector) -> SparseActivationVector:
@@ -530,8 +543,7 @@ def normalize_whole(v: SparseActivationVector) -> SparseActivationVector:
     norm = l2_norm(v)
     if norm == 0.0:
         return v
-    out = {lid: (idx, _lock(val / norm)) for lid, (idx, val) in v._data.items()}
-    return SparseActivationVector._trusted(v.manifest, out)
+    return SparseActivationVector._trusted(v.manifest, v._keys, v._values / norm)
 
 
 def restrict_to_groups(v: SparseActivationVector, groups: Iterable[str]) -> SparseActivationVector:
@@ -540,6 +552,7 @@ def restrict_to_groups(v: SparseActivationVector, groups: Iterable[str]) -> Spar
     The manifest is retained, so downstream distances are computed over the
     surviving coordinates of the unchanged coordinate system.
     """
-    keep = set(v.manifest.layers_in_groups(groups))
-    out = {lid: pair for lid, pair in v._data.items() if lid in keep}
-    return SparseActivationVector._trusted(v.manifest, out)
+    wanted = set(v.manifest.layers_in_groups(groups))
+    selected = [spec.layer_id in wanted for spec in v.manifest.layers]
+    keep = np.repeat(selected, np.diff(v._bounds()))
+    return SparseActivationVector._trusted(v.manifest, v._keys[keep], v._values[keep])

@@ -66,6 +66,51 @@ def random_vector(
             return SparseActivationVector(manifest, entries)
 
 
+def reference_aggregate(images, mode: str) -> SparseActivationVector:
+    """pipeline.aggregate layer by layer, in sorted layer-id order, built
+    through the public constructor; the bitwise reference for the flat one.
+
+    Within each layer the images' entries are concatenated in image order,
+    so every feature sums its values in that order.
+    """
+    images = list(images)
+    manifest = images[0].manifest
+    n = len(images)
+    if n == 1:
+        return images[0]
+    out = {}
+    inv_n = 1.0 / n
+    for lid in sorted({lid for img in images for lid in img.stored_layers}):
+        parts = [img.layer(lid) for img in images]
+        cat_idx = np.concatenate([idx for idx, _ in parts])
+        cat_val = np.concatenate([val for _, val in parts])
+        uniq, inverse, counts = np.unique(cat_idx, return_inverse=True, return_counts=True)
+        lo = np.full(uniq.size, np.inf)
+        hi = np.full(uniq.size, -np.inf)
+        np.minimum.at(lo, inverse, cat_val)
+        np.maximum.at(hi, inverse, cat_val)
+        constant = (counts == n) & (lo == hi)
+        acc = np.zeros(uniq.size)
+        if mode == "arithmetic":
+            np.add.at(acc, inverse, cat_val)
+            mean = acc * inv_n
+            keep = np.ones(uniq.size, dtype=bool)
+        elif mode == "geometric":
+            np.add.at(acc, inverse, np.log(cat_val))
+            mean = np.exp(acc * inv_n)
+            keep = counts == n
+        else:
+            np.add.at(acc, inverse, 1.0 / cat_val)
+            with np.errstate(divide="ignore"):
+                mean = n / acc
+            keep = counts == n
+        mean = np.where(constant, lo, mean)
+        keep &= mean > 0
+        if keep.any():
+            out[lid] = (uniq[keep], mean[keep])
+    return SparseActivationVector(manifest, out)
+
+
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
     """All-pairs shortest paths by dense relaxation; inf marks no path."""
     dist = weights.astype(np.float64, copy=True)

@@ -508,6 +508,22 @@ def test_missing_input_is_a_data_error_and_creates_no_output_dir(
     assert not out.exists()
 
 
+def test_activations_byte_that_is_not_utf8_is_a_format_error(dataset, tmp_path, capsys):
+    lines = (dataset / "activations.tsv").read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"\t", b"\t\xff", 1)
+    bad = tmp_path / "activations.tsv"
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    code = main([
+        "build", "--activations", str(bad), "--manifest", str(dataset / "manifest.tsv"),
+        "--class-map", str(dataset / "class_map.tsv"), "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"classvec: error: {bad}:3: byte 0xff is not valid UTF-8")
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["build", "--bogus"]) == 2
 

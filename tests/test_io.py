@@ -98,6 +98,24 @@ def test_crlf_line_ending_is_refused_at_its_line(tmp_path, shape):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3"])  # not UTF-8; a cut two-byte sequence
+def test_byte_that_is_not_utf8_is_refused_at_its_line(tmp_path, shape, bad):
+    load, first, _, _, _ = SHAPES[shape]
+    p = tmp_path / "f.txt"
+    p.write_bytes(f"{first}\n".encode() + bad + f"{first}\n".encode())
+    with pytest.raises(FormatError) as err:
+        load(p)
+    assert str(err.value) == f"{p}:2: byte 0x{bad[0]:02x} is not valid UTF-8"
+
+
+def test_utf8_beyond_ascii_is_read(tmp_path):
+    p = write(tmp_path / "m.tsv", "c0\tcaf\u00e9\nc1\t\u72ac\n")
+    assert cvio.load_class_map(p) == {"c0": "caf\u00e9", "c1": "\u72ac"}
+    p = write(tmp_path / "d.csv", "\u00e9,b\n0,1\n1,0\n")
+    assert cvio.load_distance_matrix_csv(p).labels == ("\u00e9", "b")
+
+
+@pytest.mark.parametrize("shape", SHAPES)
 def test_empty_file_message(tmp_path, shape):
     load, _, _, _, message = SHAPES[shape]
     p = write(tmp_path / "f.txt", "")
@@ -439,15 +457,15 @@ def test_memoized_triplets_match_per_element_reference(first, second, picks, cap
         vectors.append(vecs[k % len(vecs)][1])
     with ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
         if cap is not None:
-            stack.enter_context(mock.patch.object(cvio._LayerHeads, "cap", cap))
+            stack.enter_context(mock.patch.object(cvio._Heads, "cap", cap))
             stack.enter_context(mock.patch.object(cvio._Texts, "cap", cap))
         memo = cvio._TripletMemo()
         for v in vectors:
             assert cvio._format_triplets(v, memo) == reference_triplets(v)
             assert len(memo.texts) <= cvio._Texts.cap
-            if memo.heads.manifest is not None:  # heads of one manifest's layers only
-                assert set(memo.heads) <= set(memo.heads.manifest.layer_ids)
-            assert all(len(heads) <= cvio._LayerHeads.cap for heads in memo.heads.values())
+            if memo.heads is not None:  # heads of one manifest only, at most cap of them
+                assert all(0 <= key < memo.heads.manifest.total_dim for key in memo.heads)
+                assert len(memo.heads) <= cvio._Heads.cap
         path = Path(tmp) / "a.tsv"
         cvio.write_activations(
             [cvio.ActivationRecord(f"i{k}", "c", v) for k, v in enumerate(vectors)], path

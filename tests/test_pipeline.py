@@ -18,6 +18,7 @@ from classvec.errors import (
     ZeroVectorError,
 )
 from classvec.pipeline import (
+    AGGREGATION_MODES,
     DEFAULT_CONFIG,
     ClassEmbedding,
     PipelineConfig,
@@ -32,7 +33,7 @@ from classvec.vectors import (
     euclidean_distance,
 )
 
-from helpers import densify, random_vector, small_manifest
+from helpers import densify, random_vector, reference_aggregate, small_manifest
 
 Rec = namedtuple("Rec", "image_id class_id vector")
 
@@ -175,6 +176,59 @@ class TestAggregate:
         b = SparseActivationVector(m2, {"a1": ([0], [1.0])})
         with pytest.raises(ManifestMismatchError):
             aggregate([a, b], "arithmetic")
+
+    def test_overflowed_sum_names_the_first_layer_by_id(self):
+        m = LayerManifest([("z", "g", 2), ("a", "g", 2)])
+        images = [
+            SparseActivationVector(m, {"z": ([0], [value]), "a": ([1], [value])})
+            for value in (1e308, 1.5e308)
+        ]
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="layer 'a': non-finite"):
+            aggregate(images, "arithmetic")
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_bitwise_equal_to_the_per_layer_reference(self, data):
+        # layer ids whose sorted order differs from manifest order
+        ids = data.draw(st.lists(st.sampled_from("zyxab"), min_size=1, max_size=4, unique=True))
+        m = LayerManifest([(lid, "g", data.draw(st.integers(1, 6))) for lid in ids])
+        # non-dyadic values, extremes whose sums overflow, and subnormals
+        value = st.one_of(
+            st.sampled_from([0.1, 0.3, 1.0, 1e-300, 5e-324, 1e308, 1.7e308]),
+            st.floats(1e-6, 1e6),
+        )
+        n = data.draw(st.integers(1, 6))
+        entries = [{} for _ in range(n)]
+        for spec in m:
+            # features held by every image at one value, then random (overlapping
+            # or disjoint) supports over the rest of the layer
+            fixed = data.draw(st.sets(st.integers(0, spec.dim - 1)))
+            fixed_values = {i: data.draw(value) for i in fixed}
+            free = [i for i in range(spec.dim) if i not in fixed]
+            for image in entries:
+                idx = sorted(fixed | data.draw(st.sets(st.sampled_from(free)) if free else st.just(set())))
+                image[spec.layer_id] = (
+                    idx, [fixed_values[i] if i in fixed else data.draw(value) for i in idx]
+                )
+        images = [SparseActivationVector(m, e) for e in entries]
+
+        def outcome(fn, mode):
+            try:
+                with np.errstate(over="ignore"):
+                    return fn(images, mode)
+            except ValidationError as exc:  # a sum that overflowed
+                return str(exc)
+
+        for mode in AGGREGATION_MODES:
+            got, want = outcome(aggregate, mode), outcome(reference_aggregate, mode)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got.stored_layers == want.stored_layers
+            for lid in m.layer_ids:
+                for g, w in zip(got.layer(lid), want.layer(lid)):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert got == want and got.nnz == want.nnz
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError, match="aggregation"):

@@ -380,3 +380,114 @@ class TestLayerBlocks:
         b = SparseActivationVector(LayerManifest([("a1", "low", 16)]), {"a1": ([0], [1.0])})
         with pytest.raises(ManifestMismatchError):
             list(layer_blocks([a, b]))
+
+
+# -- every construction path against the dense mirror -----------------------------
+
+PATHS = ("dict-tuples", "dict-pairs", "from-checked", "op-subtract", "op-restrict")
+
+
+@st.composite
+def dense_manifests(draw):
+    """A manifest of 1-4 layers in 1-3 groups, layer ids in no sorted order."""
+    ids = draw(st.lists(st.sampled_from("zyxab"), min_size=1, max_size=4, unique=True))
+    return LayerManifest(
+        [(lid, draw(st.sampled_from(["g1", "g2", "g3"])), draw(st.integers(1, 6))) for lid in ids]
+    )
+
+
+def draw_dense(data, m: LayerManifest) -> np.ndarray:
+    """Dyadic values k/8: every sum, dense or sparse, in any order, is exact."""
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=m.total_dim, max_size=m.total_dim)))
+    ks = data.draw(st.lists(st.integers(1, 64), min_size=m.total_dim, max_size=m.total_dim))
+    return np.where(mask, np.array(ks) / 8.0, 0.0)
+
+
+def build_by_path(data, m: LayerManifest, dense: np.ndarray, path: str) -> SparseActivationVector:
+    """The vector of ``dense``, given as the path takes it: layers and entries
+    in drawn order, with explicit zeros among them."""
+    pos, idx = [], []
+    for p, spec in enumerate(m):
+        off = m.offset_of(spec.layer_id)
+        seg = dense[off : off + spec.dim]
+        chosen = set(np.flatnonzero(seg).tolist()) | data.draw(st.sets(st.integers(0, spec.dim - 1)))
+        for i in data.draw(st.permutations(sorted(chosen))):
+            pos.append(p)
+            idx.append(i)
+    order = data.draw(st.permutations(range(len(pos))))
+    pos = np.array([pos[k] for k in order], dtype=np.intp)
+    idx = np.array([idx[k] for k in order], dtype=np.int64)
+    val = dense[m._starts[pos] + idx] if idx.size else np.empty(0)
+    if path == "from-checked":
+        return SparseActivationVector._from_checked(m, pos, idx, val)
+    entries = {}
+    for p in dict.fromkeys(pos.tolist()):
+        sel = pos == p
+        lid = m.layers[p].layer_id
+        if path == "dict-pairs":
+            entries[lid] = list(zip(idx[sel].tolist(), val[sel].tolist()))
+        else:
+            entries[lid] = (idx[sel], val[sel])
+    v = SparseActivationVector(m, entries)
+    if path == "op-subtract":
+        return subtract(v, SparseActivationVector.empty(m))
+    if path == "op-restrict":
+        return restrict_to_groups(v, m.groups)
+    return v
+
+
+def layer_mask(m: LayerManifest, layer_ids) -> np.ndarray:
+    """True on the coordinates of the given layers."""
+    mask = np.zeros(m.total_dim, dtype=bool)
+    for lid in layer_ids:
+        mask[m.offset_of(lid) : m.offset_of(lid) + m.dim_of(lid)] = True
+    return mask
+
+
+class TestEveryPathAgainstDense:
+    @settings(max_examples=80)
+    @given(m=dense_manifests(), data=st.data())
+    def test_paths_give_one_vector(self, m, data):
+        dense = draw_dense(data, m)
+        built = [build_by_path(data, m, dense, path) for path in PATHS]
+        first = built[0]
+        stored = tuple(s.layer_id for s in m if layer_mask(m, [s.layer_id])[dense > 0].any())
+        for v in built:
+            assert np.array_equal(densify(v), dense)
+            assert v == first
+            assert v.nnz == int(np.count_nonzero(dense)) and v.is_zero == (not dense.any())
+            assert v.stored_layers == stored
+            for lid in m.layer_ids:
+                for got, want in zip(v.layer(lid), first.layer(lid)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    assert not got.flags.writeable
+
+    @settings(max_examples=120)
+    @given(m=dense_manifests(), data=st.data())
+    def test_ops_match_dense_arithmetic(self, m, data):
+        da, db = draw_dense(data, m), draw_dense(data, m)
+        a = build_by_path(data, m, da, data.draw(st.sampled_from(PATHS)))
+        b = build_by_path(data, m, db, data.draw(st.sampled_from(PATHS)))
+        # dyadic values: the sparse and dense sums agree exactly
+        assert dot(a, b) == float(da @ db)
+        assert euclidean_distance(a, b) == float(np.sqrt((da - db) @ (da - db)))
+        if da.any() and db.any():
+            want = min(1.0, float(da @ db) / float(np.sqrt((da @ da) * (db @ db))))
+            assert cosine_similarity(a, b) == want
+        else:
+            with pytest.raises(ZeroVectorError):
+                cosine_similarity(a, b)
+        assert np.array_equal(densify(subtract(a, b)), np.maximum(da - db, 0.0))
+        t = data.draw(st.sampled_from([0.0, 0.125, 1.0, 4.0, 9.0]))
+        assert np.array_equal(densify(apply_threshold(a, t)), np.where(da >= t, da, 0.0))
+        want = da / np.sqrt(da @ da) if da.any() else da
+        assert np.array_equal(densify(normalize_whole(a)), want)
+        want = da.copy()
+        for lid in m.layer_ids:
+            mask = layer_mask(m, [lid])
+            if da[mask].any():
+                want[mask] = da[mask] / np.sqrt(da[mask] @ da[mask])
+        assert np.array_equal(densify(normalize_by_layer(a)), want)
+        groups = data.draw(st.sets(st.sampled_from(m.groups), min_size=1))
+        keep = layer_mask(m, m.layers_in_groups(groups))
+        assert np.array_equal(densify(restrict_to_groups(a, groups)), np.where(keep, da, 0.0))
