@@ -218,22 +218,9 @@ def cmd_eval(args) -> None:
 # -- mds / isomap ----------------------------------------------------------------
 
 
-def _load_highlights(path) -> dict[str, list[str]]:
-    """Lines of ``set_name TAB class_id``, or bare class ids for one set."""
-    sets: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            name, sep, cid = line.partition("\t")
-            if not sep:
-                name, cid = "highlight", line
-            sets.setdefault(name, []).append(cid)
-    return sets
-
-
 def _embed_common(args, coords, highlights) -> None:
+    if highlights:
+        cvio.check_highlights(highlights, coords.labels)
     out = _out_dir(args)
     _write(cvio.write_coordinates_csv, coords, out / "coordinates.csv")
     _write(cvio.write_eigenvalues_csv, coords, out / "eigenvalues.csv")
@@ -253,7 +240,7 @@ def _check_highlight_dims(args) -> None:
 def cmd_mds(args) -> None:
     _check_highlight_dims(args)
     dmat = cvio.load_distance_matrix_csv(args.distances)
-    highlights = _load_highlights(args.highlight) if args.highlight else None
+    highlights = cvio.load_highlights(args.highlight) if args.highlight else None
     _embed_common(args, classical_mds(dmat, args.dims), highlights)
 
 
@@ -262,7 +249,7 @@ def cmd_isomap(args) -> None:
     if args.k_neighbors < 1:
         raise UsageError(f"--k-neighbors must be >= 1, got {args.k_neighbors}")
     dmat = cvio.load_distance_matrix_csv(args.distances)
-    highlights = _load_highlights(args.highlight) if args.highlight else None
+    highlights = cvio.load_highlights(args.highlight) if args.highlight else None
     coords = isomap(
         dmat,
         k_neighbors=args.k_neighbors,

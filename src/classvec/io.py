@@ -1,21 +1,21 @@
 """File formats: loaders with positional diagnostics, writers that round-trip.
 
-Five tab-separated input formats (manifest, activations, taxonomy edges,
-corpus counts, class map) plus the produced artifacts: class embeddings,
-distance matrix CSV, coordinates/eigenvalue CSVs, rho tables, histogram
-CSVs, equation tables, and 2-D scatter SVGs. All text is UTF-8 with LF
-line endings; reals use Python's shortest round-trip representation except
-CSV matrix cells, which carry 9 significant digits.
+Six tab-separated input formats (manifest, activations, taxonomy edges,
+corpus counts, class map, highlight sets) plus the produced artifacts:
+class embeddings, distance matrix CSV, coordinates/eigenvalue CSVs, rho
+tables, histogram CSVs, equation tables, and 2-D scatter SVGs. All text is
+UTF-8 with LF line endings; reals use Python's shortest round-trip
+representation except CSV matrix cells, which carry 9 significant digits.
 
 Every loader reads its file one line at a time, and a line holding a byte
 that is not valid UTF-8 is refused. Every tab-separated loader numbers its
 lines from 1, the trailing LF is dropped, a line that then ends in CR
 (a CRLF line ending) is refused, blank lines are skipped, and every other
-line must split at its tabs into the format's fixed number of fields. CSV
-loaders read a header row, skip empty rows and require as many cells in
-every row as the header has. Every fault is a FormatError naming
-the path and line (line 1 for an empty file). Writers end every line, the
-last included, with LF.
+line must split at its tabs into the format's number of fields (one or two
+for highlight sets). CSV loaders read a header row, skip empty rows and
+require as many cells in every row as the header has. Every fault is a
+FormatError naming the path and line (line 1 for an empty file). Writers
+end every line, the last included, with LF.
 
 Activations and class embeddings end in the same triplet field:
 
@@ -97,18 +97,23 @@ def _open_write(path) -> IO[str]:
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _tsv_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line without its LF) of each non-blank line, read one at a time."""
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.rstrip("\n")
+        if line.endswith("\r"):
+            raise FormatError(path, lineno, "line ends in CR (CRLF line ending); expected LF")
+        if line:
+            yield lineno, line
+
+
 def _tsv_rows(path, n_fields: int, expected: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank line, read one at a time.
 
     A line that does not split into ``n_fields`` fields raises a FormatError
     whose message is ``expected`` formatted with the count it has.
     """
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.rstrip("\n")
-        if line.endswith("\r"):
-            raise FormatError(path, lineno, "line ends in CR (CRLF line ending); expected LF")
-        if not line:
-            continue
+    for lineno, line in _tsv_lines(path):
         fields = line.split("\t")
         if len(fields) != n_fields:
             raise FormatError(path, lineno, expected.format(len(fields)))
@@ -583,6 +588,31 @@ DEFAULT_SHADE = "#bbbbbb"
 HIGHLIGHT_SHADES = ("#000000", "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00")
 
 
+def load_highlights(path) -> dict[str, list[str]]:
+    """Highlight sets for a scatter SVG, in first-appearance order: lines of
+    ``set_name TAB class_id``, or a bare class_id, which joins set "highlight"."""
+    sets: dict[str, list[str]] = {}
+    for lineno, line in _tsv_lines(path):
+        fields = line.split("\t")
+        if len(fields) > 2:
+            message = f"expected class_id or set_name TAB class_id, got {len(fields)} fields"
+            raise FormatError(path, lineno, message)
+        if not all(fields):
+            raise FormatError(path, lineno, "empty set name or class_id")
+        name, cid = fields if len(fields) == 2 else ("highlight", fields[0])
+        sets.setdefault(name, []).append(cid)
+    return sets
+
+
+def check_highlights(highlight_sets: Mapping[str, Iterable[str]], labels: Iterable[str]) -> None:
+    """Refuse a highlighted class id that is not among the labels."""
+    known = set(labels)
+    for name, ids in highlight_sets.items():
+        for cid in ids:
+            if cid not in known:
+                raise ValidationError(f"highlight set {name!r}: unknown class {cid!r}")
+
+
 def write_scatter_svg(
     coords: EmbeddingCoordinates,
     highlight_sets: Mapping[str, Iterable[str]] | None,
@@ -595,17 +625,14 @@ def write_scatter_svg(
     """
     if coords.dims != 2:
         raise ValidationError(f"scatter SVG requires 2-D coordinates, got {coords.dims}-D")
-    highlight_sets = dict(highlight_sets or {})
-    known = set(coords.labels)
+    highlight_sets = {name: list(ids) for name, ids in (highlight_sets or {}).items()}
+    check_highlights(highlight_sets, coords.labels)
     shade_of: dict[str, str] = {}
     legend: list[tuple[str, str]] = []
     for i, (name, ids) in enumerate(highlight_sets.items()):
         shade = HIGHLIGHT_SHADES[i % len(HIGHLIGHT_SHADES)]
         legend.append((name, shade))
-        for cid in ids:
-            if cid not in known:
-                raise ValidationError(f"highlight set {name!r}: unknown class {cid!r}")
-            shade_of[cid] = shade
+        shade_of.update(dict.fromkeys(ids, shade))
 
     xy = coords.coords
     margin = SVG_SIZE * SVG_MARGIN_FRACTION

@@ -25,12 +25,13 @@ JCN_MIN_DISTANCE = 1e-10
 class Taxonomy:
     """Immutable single-rooted acyclic hierarchy with precomputed ancestry.
 
-    Ancestor sets include the node itself, and per-node upward distances
-    record the minimal edge count to each ancestor, so shortest connecting
-    paths and deepest common subsumers are dictionary lookups.
+    Ancestry is kept once, as per-node upward distances: the minimal edge
+    count from the node to each of its ancestors, itself included at 0. Its
+    keys are the node's ancestor set, so shortest connecting paths and
+    deepest common subsumers are dictionary lookups.
     """
 
-    __slots__ = ("_parents", "_children", "_root", "_depth", "_anc", "_updist", "_max_depth")
+    __slots__ = ("_parents", "_children", "_root", "_depth", "_updist", "_max_depth")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         parents: dict[str, set[str]] = {}
@@ -68,13 +69,11 @@ class Taxonomy:
             raise TaxonomyError(f"cycle detected involving {stuck[:5]}")
 
         depth: dict[str, int] = {}
-        anc: dict[str, frozenset[str]] = {}
         updist: dict[str, dict[str, int]] = {}
         for node in order:
             ps = parents.get(node, set())
             if not ps:
                 depth[node] = 1
-                anc[node] = frozenset((node,))
                 updist[node] = {node: 0}
                 continue
             depth[node] = 1 + min(depth[p] for p in ps)
@@ -84,14 +83,12 @@ class Taxonomy:
                     alt = dist + 1
                     if alt < merged.get(a, alt + 1):
                         merged[a] = alt
-            anc[node] = frozenset(merged)
             updist[node] = merged
 
         self._parents = {n: frozenset(parents.get(n, ())) for n in nodes}
         self._children = {n: frozenset(children.get(n, ())) for n in nodes}
         self._root = root
         self._depth = depth
-        self._anc = anc
         self._updist = updist
         self._max_depth = max(depth.values())
 
@@ -130,7 +127,7 @@ class Taxonomy:
 
     def ancestors(self, synset: str) -> frozenset[str]:
         """All hypernyms of the synset, itself included."""
-        return self._anc[self._require(synset)]
+        return frozenset(self._updist[self._require(synset)])
 
     def up_distance(self, synset: str, ancestor: str) -> int:
         """Minimal edge count climbing from synset to one of its ancestors."""
@@ -142,7 +139,7 @@ class Taxonomy:
 
     def lcs(self, a: str, b: str) -> str:
         """Deepest common subsumer; depth ties go to the smallest synset_id."""
-        common = self.ancestors(a) & self.ancestors(b)
+        common = self._updist[self._require(a)].keys() & self._updist[self._require(b)].keys()
         return min(common, key=lambda s: (-self._depth[s], s))
 
     def path_length(self, a: str, b: str) -> int:
@@ -199,7 +196,7 @@ class ICTable:
             own[synset] = count
         cum = {s: 0 for s in taxonomy.synsets}
         for synset, count in own.items():
-            for a in taxonomy.ancestors(synset):
+            for a in taxonomy._updist[synset]:
                 cum[a] += count
         return cls(cum)
 

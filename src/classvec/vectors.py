@@ -6,11 +6,11 @@ entries once, as two flat arrays sorted by flattened index (offset_of(layer)
 + i), so each layer's entries are one contiguous run and the layers come in
 manifest order. Elementwise operations (subtract, apply_threshold,
 normalize_whole, restrict_to_groups) work on the flat arrays; dot, the
-norms and cosine add one term per stored layer, in manifest order, and
-normalize_by_layer takes one norm per stored layer. Binary operations are
-linear merges over the stored entries and never touch absent coordinates;
-layer_blocks packs many vectors into dense per-layer blocks for all-pairs
-work. Vectors are immutable after construction; all operations return new
+norms, cosine and euclidean_distance add one np.dot per layer, in manifest
+order, through one helper, and normalize_by_layer takes one norm per stored
+layer. Binary operations are linear merges over the stored entries and never
+touch absent coordinates; layer_blocks packs many vectors into dense
+per-layer blocks for all-pairs work. Vectors are immutable after construction; all operations return new
 vectors and are safe to call concurrently.
 """
 
@@ -43,16 +43,14 @@ class LayerManifest:
     of (layer, i) is offset_of(layer) + i.
     """
 
-    __slots__ = (
-        "_layers", "_position", "_offsets", "_dims", "_starts", "_total_dim", "_groups", "_digest"
-    )
+    __slots__ = ("_layers", "_position", "_dims", "_starts", "_total_dim", "_groups", "_digest")
 
     def __init__(self, layers: Iterable[tuple[str, str, int]]):
         specs = tuple(LayerSpec(str(lid), str(grp), int(dim)) for lid, grp, dim in layers)
         if not specs:
             raise ManifestError("manifest must declare at least one layer")
         position: dict[str, int] = {}
-        offsets: dict[str, int] = {}
+        starts: list[int] = []
         total = 0
         groups: list[str] = []
         for pos, spec in enumerate(specs):
@@ -61,16 +59,15 @@ class LayerManifest:
             if spec.layer_id in position:
                 raise ManifestError(f"duplicate layer_id {spec.layer_id!r}")
             position[spec.layer_id] = pos
-            offsets[spec.layer_id] = total
+            starts.append(total)
             total += spec.dim
             if spec.group not in groups:
                 groups.append(spec.group)
         self._layers = specs
         self._position = position
-        self._offsets = offsets
-        # by manifest position, for flat entries (the constructor, the io triplet parser)
+        # by manifest position: offset_of, and flat entries (the constructor, the io triplet parser)
         self._dims = _lock(np.array([spec.dim for spec in specs], dtype=np.int64))
-        self._starts = _lock(np.array([offsets[spec.layer_id] for spec in specs], dtype=np.int64))
+        self._starts = _lock(np.array(starts, dtype=np.int64))
         self._total_dim = total
         self._groups = tuple(groups)
         payload = "\n".join(f"{s.layer_id}\t{s.group}\t{s.dim}" for s in specs)
@@ -120,7 +117,7 @@ class LayerManifest:
 
     def offset_of(self, layer_id: str) -> int:
         self.spec_of(layer_id)
-        return self._offsets[layer_id]
+        return int(self._starts[self._position[layer_id]])
 
     def layers_in_groups(self, groups: Iterable[str]) -> tuple[str, ...]:
         """Layer ids whose group tag is in ``groups``, manifest order."""
@@ -246,18 +243,18 @@ _EMPTY_VALUES = _lock(np.empty(0, dtype=np.float64))
 class SparseActivationVector:
     """Non-negative sparse activations in a manifest's coordinate system.
 
-    The entries are stored once, flat: ``_keys`` holds their flattened
-    indices (offset_of(layer) + i), strictly increasing, and ``_values``
-    their values, strictly positive (explicit zeros are dropped at
-    construction); both arrays are read-only. Sorting by flattened index puts
-    the layers in manifest order, whatever order the entries mapping lists
-    them in, so sums over the layers run in one order. The per-layer
-    (indices, values) view that layer(), stored_layers and iter_entries
-    read is derived on first use and kept. Two vectors are operable together
-    only when their manifests compare equal.
+    The entries are stored once, flat, and in no other form: ``_keys`` holds
+    their flattened indices (offset_of(layer) + i), strictly increasing, and
+    ``_values`` their values, strictly positive (explicit zeros are dropped
+    at construction); both arrays are read-only. Sorting by flattened index
+    puts the layers in manifest order, whatever order the entries mapping
+    lists them in, so each layer is one run of the arrays. layer(),
+    stored_layers and iter_entries read those runs; nothing derived from
+    them is kept. Two vectors are operable together only when their
+    manifests compare equal.
     """
 
-    __slots__ = ("manifest", "_keys", "_values", "_layers")
+    __slots__ = ("manifest", "_keys", "_values")
 
     def __init__(self, manifest: LayerManifest, entries: Mapping[str, object] | None = None):
         positions, idx_parts, val_parts = [], [], []
@@ -289,7 +286,6 @@ class SparseActivationVector:
         self.manifest = manifest
         self._keys = _lock(keys)
         self._values = _lock(values)
-        self._layers = None
 
     @classmethod
     def _trusted(cls, manifest: LayerManifest, keys: np.ndarray, values: np.ndarray):
@@ -300,7 +296,6 @@ class SparseActivationVector:
         v.manifest = manifest
         v._keys = _lock(keys)
         v._values = _lock(values)
-        v._layers = None
         return v
 
     @classmethod
@@ -322,35 +317,22 @@ class SparseActivationVector:
         """Where each manifest layer's entries start in the flat arrays, then their end."""
         return [*np.searchsorted(self._keys, self.manifest._starts).tolist(), self._keys.size]
 
-    @property
-    def _data(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Stored layer id -> read-only (indices, values), in manifest order.
-
-        Made on first use and kept; a first use from two threads at once makes
-        it twice, and either copy serves."""
-        layers = self._layers
-        if layers is None:
-            bounds = self._bounds()
-            starts = self.manifest._starts
-            # views of locked arrays are read-only too
-            idx = _lock(self._keys - np.repeat(starts, np.diff(bounds)))
-            layers = {
-                spec.layer_id: (idx[a:b], self._values[a:b])
-                for spec, a, b in zip(self.manifest.layers, bounds, bounds[1:])
-                if a < b
-            }
-            self._layers = layers
-        return layers
-
     def layer(self, layer_id: str) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (indices, values) for one layer; empty arrays if silent."""
         self.manifest.spec_of(layer_id)
-        return self._data.get(layer_id, (_EMPTY_KEYS, _EMPTY_VALUES))
+        p = self.manifest._position[layer_id]
+        lo, hi = self._bounds()[p : p + 2]
+        # a locked array that owns its data could be unlocked again; a view of it cannot
+        idx = _lock(self._keys[lo:hi] - self.manifest._starts[p])[:]
+        return idx, self._values[lo:hi]
 
     @property
     def stored_layers(self) -> tuple[str, ...]:
         """Ids of layers holding at least one entry, manifest order."""
-        return tuple(self._data)
+        bounds = self._bounds()
+        return tuple(
+            spec.layer_id for spec, lo, hi in zip(self.manifest.layers, bounds, bounds[1:]) if lo < hi
+        )
 
     @property
     def nnz(self) -> int:
@@ -362,9 +344,11 @@ class SparseActivationVector:
 
     def iter_entries(self) -> Iterator[tuple[str, int, float]]:
         """(layer_id, index, value) triples in canonical order."""
-        for lid, (idx, val) in self._data.items():
-            for i, v in zip(idx.tolist(), val.tolist()):
-                yield lid, i, v
+        bounds = self._bounds()
+        starts = self.manifest._starts.tolist()
+        for spec, start, lo, hi in zip(self.manifest.layers, starts, bounds, bounds[1:]):
+            for key, value in zip(self._keys[lo:hi].tolist(), self._values[lo:hi].tolist()):
+                yield spec.layer_id, key - start, value
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseActivationVector):
@@ -378,8 +362,19 @@ class SparseActivationVector:
     def __repr__(self) -> str:
         return (
             f"SparseActivationVector(nnz={self.nnz}, "
-            f"layers={len(self._data)}/{len(self.manifest)})"
+            f"layers={len(self.stored_layers)}/{len(self.manifest)})"
         )
+
+
+def _layer_dots(manifest: LayerManifest, keys: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """The sum, in manifest order, of np.dot(x, y) over each layer's run of the
+    sorted flattened indices ``keys``; every sum over layers comes here."""
+    bounds = [*np.searchsorted(keys, manifest._starts).tolist(), keys.size]
+    total = 0.0
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo < hi:
+            total += float(np.dot(x[lo:hi], y[lo:hi]))
+    return total
 
 
 def _require_same_manifest(a: SparseActivationVector, b: SparseActivationVector, op: str):
@@ -390,37 +385,25 @@ def _require_same_manifest(a: SparseActivationVector, b: SparseActivationVector,
         )
 
 
-def _align(src_idx: np.ndarray, src_val: np.ndarray, dst_idx: np.ndarray):
-    """Values of src at dst's indices (0 where absent) plus membership mask."""
+def _align(src_idx: np.ndarray, src_val: np.ndarray, dst_idx: np.ndarray) -> np.ndarray:
+    """Values of src at dst's indices, 0 where absent."""
     pos = np.searchsorted(src_idx, dst_idx)
     inside = pos < src_idx.size
     hit = np.zeros(dst_idx.size, dtype=bool)
     hit[inside] = src_idx[pos[inside]] == dst_idx[inside]
     vals = np.zeros(dst_idx.size, dtype=np.float64)
     vals[hit] = src_val[pos[hit]]
-    return vals, hit
+    return vals
 
 
 def dot(a: SparseActivationVector, b: SparseActivationVector) -> float:
     """Inner product over shared coordinates."""
-    _require_same_manifest(a, b, "dot")
-    a_bounds, b_bounds = a._bounds(), b._bounds()
-    total = 0.0
-    for p in range(len(a.manifest)):
-        a_lo, a_hi, b_lo, b_hi = a_bounds[p], a_bounds[p + 1], b_bounds[p], b_bounds[p + 1]
-        if a_lo < a_hi and b_lo < b_hi:  # a layer both vectors store
-            b_at_a, _ = _align(b._keys[b_lo:b_hi], b._values[b_lo:b_hi], a._keys[a_lo:a_hi])
-            total += float(np.dot(a._values[a_lo:a_hi], b_at_a))
-    return total
+    _require_same_manifest(a, b, "dot")  # a layer only a stores adds an exact 0.0
+    return _layer_dots(a.manifest, a._keys, a._values, _align(b._keys, b._values, a._keys))
 
 
 def _sq_norm(v: SparseActivationVector) -> float:
-    sq = 0.0
-    bounds = v._bounds()
-    for a, b in zip(bounds, bounds[1:]):
-        segment = v._values[a:b]  # one layer's values; empty if silent
-        sq += float(np.dot(segment, segment))
-    return sq
+    return _layer_dots(v.manifest, v._keys, v._values, v._values)
 
 
 def l2_norm(v: SparseActivationVector) -> float:
@@ -441,25 +424,11 @@ def cosine_similarity(a: SparseActivationVector, b: SparseActivationVector) -> f
 
 
 def euclidean_distance(a: SparseActivationVector, b: SparseActivationVector) -> float:
-    """L2 distance of the true (unclamped) difference."""
+    """L2 distance of the true (unclamped) difference, over the union of both supports."""
     _require_same_manifest(a, b, "euclidean_distance")
-    sq = 0.0
-    for lid in set(a._data) | set(b._data):
-        ai, av = a.layer(lid)
-        bi, bv = b.layer(lid)
-        if bi.size == 0:
-            sq += float(np.dot(av, av))
-            continue
-        if ai.size == 0:
-            sq += float(np.dot(bv, bv))
-            continue
-        b_at_a, _ = _align(bi, bv, ai)
-        diff = av - b_at_a
-        sq += float(np.dot(diff, diff))
-        _, b_hit = _align(ai, av, bi)
-        rest = bv[~b_hit]
-        sq += float(np.dot(rest, rest))
-    return float(np.sqrt(sq))
+    keys = np.union1d(a._keys, b._keys)
+    diff = _align(a._keys, a._values, keys) - _align(b._keys, b._values, keys)
+    return float(np.sqrt(_layer_dots(a.manifest, keys, diff, diff)))
 
 
 # Cells in one block of layer_blocks (16 MB of float64), whatever the vector count.
@@ -506,7 +475,7 @@ def subtract(a: SparseActivationVector, b: SparseActivationVector) -> SparseActi
     operation is not commutative.
     """
     _require_same_manifest(a, b, "subtract")
-    b_at_a, _ = _align(b._keys, b._values, a._keys)
+    b_at_a = _align(b._keys, b._values, a._keys)
     diff = a._values - b_at_a
     keep = diff > 0
     return SparseActivationVector._trusted(a.manifest, a._keys[keep], diff[keep])
@@ -523,6 +492,18 @@ def apply_threshold(v: SparseActivationVector, t: float) -> SparseActivationVect
     return SparseActivationVector._trusted(v.manifest, v._keys[keep], v._values[keep])
 
 
+def _unit(manifest: LayerManifest, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The values of flat entries over their L2 norm. A sum of squares that is not
+    a normal float is not the norm's square: the values are then first divided
+    by their largest, which brings it into [1, size]."""
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        sq = _layer_dots(manifest, keys, values, values)
+    if not np.finfo(np.float64).tiny <= sq < np.inf:
+        values = values / values.max()
+        sq = _layer_dots(manifest, keys, values, values)
+    return values / float(np.sqrt(sq))
+
+
 def normalize_by_layer(v: SparseActivationVector) -> SparseActivationVector:
     """Rescale each stored layer segment to unit L2 norm.
 
@@ -533,17 +514,18 @@ def normalize_by_layer(v: SparseActivationVector) -> SparseActivationVector:
     values = np.empty_like(v._values)
     for a, b in zip(bounds, bounds[1:]):
         if a < b:
-            segment = v._values[a:b]
-            values[a:b] = segment / float(np.sqrt(np.dot(segment, segment)))
-    return SparseActivationVector._trusted(v.manifest, v._keys, values)
+            values[a:b] = _unit(v.manifest, v._keys[a:b], v._values[a:b])
+    keep = values > 0  # an entry far below its layer's largest can round to 0
+    return SparseActivationVector._trusted(v.manifest, v._keys[keep], values[keep])
 
 
 def normalize_whole(v: SparseActivationVector) -> SparseActivationVector:
     """Rescale the full vector to unit L2 norm; the zero vector stays zero."""
-    norm = l2_norm(v)
-    if norm == 0.0:
+    if v.is_zero:
         return v
-    return SparseActivationVector._trusted(v.manifest, v._keys, v._values / norm)
+    values = _unit(v.manifest, v._keys, v._values)
+    keep = values > 0  # an entry far below the largest can round to 0
+    return SparseActivationVector._trusted(v.manifest, v._keys[keep], values[keep])
 
 
 def restrict_to_groups(v: SparseActivationVector, groups: Iterable[str]) -> SparseActivationVector:

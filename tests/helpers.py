@@ -66,6 +66,39 @@ def random_vector(
             return SparseActivationVector(manifest, entries)
 
 
+def twelve_layer_vectors(seed: int, n: int) -> list[SparseActivationVector]:
+    """Vectors over 12 layers that share some layers and some indices, with
+    values that are not dyadic, spread over six orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    m = LayerManifest([(f"L{i:02d}", f"g{i % 3}", int(rng.integers(3, 40))) for i in range(12)])
+    out = []
+    for _ in range(n):
+        entries = {}
+        for spec in m:
+            if rng.random() < 0.6:
+                nz = np.flatnonzero(rng.random(spec.dim) < rng.random())
+                entries[spec.layer_id] = (nz, rng.random(nz.size) * 10 ** rng.uniform(-3, 3))
+        out.append(SparseActivationVector(m, entries or {"L00": ([0], [0.3])}))
+    return out
+
+
+def reference_dot(a: SparseActivationVector, b: SparseActivationVector) -> float:
+    """dot layer by layer, through the public layer() API: over each layer
+    both vectors store, in manifest order, np.dot of a's values with b's
+    values at a's indices (0 where b has none). The bitwise reference for
+    dot, the norms and cosine."""
+    total = 0.0
+    for lid in a.manifest.layer_ids:
+        ai, av = a.layer(lid)
+        bi, bv = b.layer(lid)
+        if ai.size and bi.size:
+            b_at_a = np.zeros(ai.size)
+            _, at_a, at_b = np.intersect1d(ai, bi, assume_unique=True, return_indices=True)
+            b_at_a[at_a] = bv[at_b]
+            total += float(np.dot(av, b_at_a))
+    return total
+
+
 def reference_aggregate(images, mode: str) -> SparseActivationVector:
     """pipeline.aggregate layer by layer, in sorted layer-id order, built
     through the public constructor; the bitwise reference for the flat one.

@@ -301,6 +301,36 @@ def test_mds_highlight_sets_are_shaded(built, tmp_path):
     assert ">fam</text>" in svg and ">other</text>" in svg
 
 
+HIGHLIGHT_FAULTS = {
+    "not-utf8": (b"c0000\n\xff\n", "{path}:2: byte 0xff is not valid UTF-8"),
+    "crlf": (b"fam\tc0000\r\n", "{path}:1: line ends in CR (CRLF line ending); expected LF"),
+    "three-fields": (
+        b"fam\tc0000\tc0001\n",
+        "{path}:1: expected class_id or set_name TAB class_id, got 3 fields",
+    ),
+    "empty-field": (b"c0000\n\tc0001\n", "{path}:2: empty set name or class_id"),
+    "unknown-class": (b"fam\tc0000\nfam\tnope\n", "highlight set 'fam': unknown class 'nope'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(HIGHLIGHT_FAULTS))
+@pytest.mark.parametrize("subcommand", ["mds", "isomap"])
+def test_bad_highlight_file_is_a_data_error_and_creates_no_output_dir(
+    built, tmp_path, capsys, subcommand, fault
+):
+    content, message = HIGHLIGHT_FAULTS[fault]
+    hl = tmp_path / "hl.tsv"
+    hl.write_bytes(content)
+    out = tmp_path / "out"
+    code = main([
+        subcommand, "--distances", str(built / "distance_matrix.csv"),
+        "--highlight", str(hl), "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"classvec: error: {message.format(path=hl)}\n"
+    assert not out.exists()
+
+
 def disconnected_distances(path):
     pts = np.array([[0.0], [0.1], [0.2], [100.0], [100.1], [100.2]])
     d = np.abs(pts - pts.T)
@@ -436,6 +466,47 @@ def test_rerun_generate_is_byte_identical(dataset, tmp_path):
     code = main(["rerun", str(dataset / RUN_MANIFEST_NAME), "--out", str(out)])
     assert code == 0
     assert read_tree(out) == read_tree(dataset)
+
+
+UNUSUAL_IDS = ["a,b", '"q"', "\u00fc:\u00df", "x y", " lead", "trail ", "#c"]
+
+
+def test_rerun_is_byte_identical_with_unusual_ids(tmp_path):
+    data = tmp_path / "data"
+    assert main([
+        "generate", "--out", str(data), "--seed", "7", "--classes", "9",
+        "--branching", "3", "--images", "2", "3", "--noise", "0.05",
+    ]) == 0
+    for name in ("manifest.tsv", "activations.tsv", "class_map.tsv"):
+        text = (data / name).read_text(encoding="utf-8").replace("3a_1x1", "3a:1x1")
+        for i, cid in enumerate(UNUSUAL_IDS):
+            text = text.replace(f"c{i:04d}", cid)
+        (data / name).write_text(text, encoding="utf-8")
+    assert "3a:1x1\t" in (data / "manifest.tsv").read_text(encoding="utf-8")
+    highlight = tmp_path / "highlight.tsv"
+    highlight.write_text("".join(f"set {i % 2}\t{cid}\n" for i, cid in enumerate(UNUSUAL_IDS)))
+    built = tmp_path / "build"
+    distances = str(built / "distance_matrix.csv")
+    runs = {
+        "build": ["build", "--activations", str(data / "activations.tsv"),
+                  "--manifest", str(data / "manifest.tsv"),
+                  "--class-map", str(data / "class_map.tsv")],
+        "eval": ["eval", "--distances", distances, "--taxonomy", str(data / "taxonomy.tsv"),
+                 "--class-map", str(data / "class_map.tsv"), "--measure", "all",
+                 "--counts", str(data / "counts.tsv")],
+        "mds": ["mds", "--distances", distances, "--highlight", str(highlight)],
+        "isomap": ["isomap", "--distances", distances, "--k-neighbors", "4"],
+        "solve": ["solve", "\u00fc:\u00df - #c", "--embeddings", str(built / "class_embeddings.tsv"),
+                  "--manifest", str(data / "manifest.tsv")],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0, name
+        again = tmp_path / f"{name}-again"
+        assert main(["rerun", str(out / RUN_MANIFEST_NAME), "--out", str(again)]) == 0, name
+        assert read_tree(again) == read_tree(out), name
+    labels = (built / "distance_matrix.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert '"a,b"' in labels and '"""q"""' in labels and " lead" in labels
 
 
 def test_rerun_rejects_foreign_manifest(tmp_path, capsys):

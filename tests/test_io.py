@@ -67,6 +67,10 @@ SHAPES = {
         "c0\tn0\t3\ta1:0:1.0", "c1\tn1\t3",
         "expected 4 tab-separated fields, got 3", "class embeddings file is empty",
     ),
+    "highlights": (
+        lambda p: list(cvio.load_highlights(p).items()), "fam\tc0", "fam\tc1\tc2",
+        "expected class_id or set_name TAB class_id, got 3 fields", None,
+    ),
     "distance-csv": (
         cvio.load_distance_matrix_csv, "a,b", "0", "expected 2 cells, got 1",
         "distance matrix CSV is empty",
@@ -799,6 +803,21 @@ def test_scatter_svg_rejects_non_2d(tmp_path):
     coords = classical_mds(DistanceMatrix([f"p{i}" for i in range(6)], d), 3)
     with pytest.raises(ValidationError, match="2-D"):
         cvio.write_scatter_svg(coords, None, tmp_path / "p.svg")
+
+
+def test_highlights_keep_set_order_and_bare_ids_join_one_set(tmp_path):
+    p = write(tmp_path / "h.tsv", "c2\nfam\tc0\n\nother\tc1\nfam\tc3\nc4\n")
+    assert list(cvio.load_highlights(p).items()) == [
+        ("highlight", ["c2", "c4"]), ("fam", ["c0", "c3"]), ("other", ["c1"]),
+    ]
+
+
+@pytest.mark.parametrize("line", ["fam\t", "\tc0"])
+def test_highlight_with_an_empty_field_is_refused(tmp_path, line):
+    p = write(tmp_path / "h.tsv", f"c0\n{line}\n")
+    with pytest.raises(FormatError) as err:
+        cvio.load_highlights(p)
+    assert str(err.value) == f"{p}:2: empty set name or class_id"
 
 
 def test_scatter_svg_rejects_unknown_highlight(tmp_path):

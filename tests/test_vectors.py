@@ -1,5 +1,10 @@
 """Vector core: construction, validation, and agreement with dense arithmetic."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,7 +35,14 @@ from classvec.vectors import (
     subtract,
 )
 
-from helpers import densify, random_vector, small_manifest, sparsify
+from helpers import (
+    densify,
+    random_vector,
+    reference_dot,
+    small_manifest,
+    sparsify,
+    twelve_layer_vectors,
+)
 
 
 class TestLayerManifest:
@@ -164,7 +176,8 @@ class TestConstruction:
         entries = {"c1": ([1], [0.1]), "a2": ([0], [0.7]), "b1": ([3], [0.3]), "a1": ([2], [0.9])}
         forward = SparseActivationVector(m, dict(sorted(entries.items())))
         backward = SparseActivationVector(m, entries)
-        assert list(backward._data) == list(forward._data) == ["a1", "a2", "b1", "c1"]
+        assert backward.stored_layers == forward.stored_layers == ("a1", "a2", "b1", "c1")
+        assert backward == forward
         other = random_vector(np.random.default_rng(3), m, 0.8)
         assert dot(backward, other) == dot(forward, other)
         assert l2_norm(backward) == l2_norm(forward)
@@ -207,7 +220,9 @@ class TestConstruction:
             entries[lid] = data.draw(st.sampled_from([(idx, val), list(zip(idx, val))]))
         v = SparseActivationVector(m, entries)
         assert np.array_equal(densify(v), dense)
-        assert v.stored_layers == tuple(v._data)
+        assert v.stored_layers == tuple(
+            lid for lid in m.layer_ids if dense[m.offset_of(lid) : m.offset_of(lid) + m.dim_of(lid)].any()
+        )
         for lid in v.stored_layers:
             idx, val = v.layer(lid)
             assert np.all(np.diff(idx) > 0) and np.all(val > 0)
@@ -327,6 +342,21 @@ class TestOperations:
             v = random_vector(rng, small_manifest())
             assert l2_norm(normalize_whole(v)) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "normalize, values, want",
+        [
+            # squares that overflow, underflow to 0, and sum to a subnormal
+            (normalize_by_layer, [5e-324, 1e300], {1: 1.0}),
+            (normalize_by_layer, [1e-170], {0: 1.0}),
+            (normalize_by_layer, [1e-160, 1e-160], {0: 1 / np.sqrt(2.0), 1: 1 / np.sqrt(2.0)}),
+            (normalize_whole, [1e-170], {0: 1.0}),
+        ],
+    )
+    def test_normalize_at_extreme_scales(self, normalize, values, want):
+        v = SparseActivationVector(small_manifest(), {"a1": (range(len(values)), values)})
+        idx, val = normalize(v).layer("a1")
+        assert dict(zip(idx.tolist(), val.tolist())) == want
+
     def test_normalize_whole_zero_stays_zero(self):
         z = SparseActivationVector(small_manifest(), {})
         assert normalize_whole(z).is_zero
@@ -356,6 +386,50 @@ class TestOperations:
         assert euclidean_distance(ra, rb) == pytest.approx(
             float(np.linalg.norm(da - db)), abs=1e-12
         )
+
+
+class TestAgainstPerLayerReference:
+    def test_sums_match_reference_bitwise(self):
+        vecs = twelve_layer_vectors(5, 120)
+        for a, b in zip(vecs, vecs[1:]):
+            assert dot(a, b) == reference_dot(a, b)
+            assert l2_norm(a) == float(np.sqrt(reference_dot(a, a)))
+            want = reference_dot(a, b) / float(np.sqrt(reference_dot(a, a) * reference_dot(b, b)))
+            assert cosine_similarity(a, b) == min(1.0, want)
+            want = densify(a) / float(np.sqrt(reference_dot(a, a)))
+            assert np.array_equal(densify(normalize_whole(a)), want)
+            n = normalize_by_layer(a)
+            for lid in a.manifest.layer_ids:
+                idx, val = a.layer(lid)
+                got_idx, got_val = n.layer(lid)
+                assert np.array_equal(got_idx, idx)
+                assert np.array_equal(got_val, val / float(np.sqrt(np.dot(val, val))))
+
+    def test_euclidean_does_not_depend_on_hash_seed(self):
+        script = textwrap.dedent("""
+            import numpy as np
+            from classvec.vectors import LayerManifest, SparseActivationVector, euclidean_distance
+            from helpers import twelve_layer_vectors
+            m = LayerManifest([(f"L{i}", "g", 1) for i in range(8)])
+            a = SparseActivationVector(m, {f"L{i}": ([0], [1.0 if i == 0 else 2.0**-27]) for i in range(8)})
+            got = [euclidean_distance(a, SparseActivationVector.empty(m))]
+            vecs = twelve_layer_vectors(7, 60)
+            got += [euclidean_distance(x, y) for x, y in zip(vecs, vecs[1:])]
+            print(np.array(got).tobytes().hex())
+        """)
+        here = Path(__file__).parent
+        path = os.pathsep.join([str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in range(8)
+        }
+        assert len(outputs) == 1
+        # manifest order: 1.0 first, and each 2**-54 square then rounds away
+        assert outputs.pop()[:16] == np.float64(1.0).tobytes().hex()
 
 
 class TestLayerBlocks:
