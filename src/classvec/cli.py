@@ -232,20 +232,22 @@ def _embed_common(args, coords, highlights) -> None:
     _write_run_manifest(out, args.subcommand, args, inputs)
 
 
-def _check_highlight_dims(args) -> None:
+def _check_dims(args) -> None:
+    if args.dims < 1:
+        raise UsageError(f"--dims must be >= 1, got {args.dims}")
     if args.highlight and args.dims != 2:
         raise UsageError("--highlight requires --dims 2 (the SVG is 2-D only)")
 
 
 def cmd_mds(args) -> None:
-    _check_highlight_dims(args)
+    _check_dims(args)
     dmat = cvio.load_distance_matrix_csv(args.distances)
     highlights = cvio.load_highlights(args.highlight) if args.highlight else None
     _embed_common(args, classical_mds(dmat, args.dims), highlights)
 
 
 def cmd_isomap(args) -> None:
-    _check_highlight_dims(args)
+    _check_dims(args)
     if args.k_neighbors < 1:
         raise UsageError(f"--k-neighbors must be >= 1, got {args.k_neighbors}")
     dmat = cvio.load_distance_matrix_csv(args.distances)

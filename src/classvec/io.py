@@ -184,80 +184,69 @@ def write_manifest(manifest: LayerManifest, path) -> None:
 # -- activations ------------------------------------------------------------
 
 
-def _parse_triplets(
-    path, lineno: int, payload: str, manifest: LayerManifest
-) -> SparseActivationVector:
-    """One line's triplet field as a vector, every entry checked once.
-
-    On a faulty line the first faulty triplet is reported, with the first of
-    its faults in this order: malformed triplet, unknown layer, malformed
-    number, index out of range, bad value. A repeated index is reported only
-    when no triplet has any of those.
-    """
-    if not payload:
-        return SparseActivationVector.empty(manifest)
+def _bulk_triplets(payload: str, manifest: LayerManifest):
+    """A line's (positions, indices, values) arrays by one split and bulk maps,
+    or None for any line it cannot take whole: a layer id that holds ':', or
+    any fault."""
     count = payload.count(" ") + 1
     # One split: a tab (never inside a field) marks where each triplet ends,
     # so every 4th piece is a tab exactly when each triplet has two colons.
     fields = payload.replace(" ", ":\t:").split(":")
-    fault = None
-    if len(fields) == 4 * count - 1 and fields[3::4].count("\t") == count - 1:
-        lids, idx_text, val_text = fields[0::4], fields[1::4], fields[2::4]
-    else:
-        # a layer id holds ':' or a triplet is malformed: split each at its last two colons
-        lids, idx_text, val_text = [], [], []
-        for token in payload.split(" "):
-            triplet = token.rsplit(":", 2)
-            if len(triplet) != 3:
-                fault = f"malformed triplet {token!r}"
-                break
-            lids.append(triplet[0])
-            idx_text.append(triplet[1])
-            val_text.append(triplet[2])
+    if len(fields) != 4 * count - 1 or fields[3::4].count("\t") != count - 1:
+        return None
+    try:
+        pos = np.array(list(map(manifest._position.__getitem__, fields[0::4])), dtype=np.intp)
+        idx = np.array(list(map(int, fields[1::4])))  # object dtype when an index overflows int64
+        val = np.array(list(map(float, fields[2::4])), dtype=np.float64)
+    except (KeyError, ValueError):
+        return None
+    # ~(val >= 0) holds for nan too
+    bad = (idx < 0) | (idx >= manifest._dims[pos]) | ~(val >= 0) | (val == np.inf)
+    return None if bad.any() else (pos, idx.astype(np.int64, copy=False), val)
 
-    # Each check below sees only the triplets before the first fault found so
-    # far, so the fault raised is the first faulty triplet's first fault.
-    pos = list(map(manifest._position.get, lids))
-    if None in pos:
-        cut = pos.index(None)
-        fault = f"unknown layer_id {lids[cut]!r}"
-        del pos[cut:], lids[cut:], idx_text[cut:], val_text[cut:]
+
+def _walk_triplets(path, lineno: int, payload: str, manifest: LayerManifest):
+    """A line's (positions, indices, values) arrays, read one triplet at a time. The
+    first faulty triplet raises a FormatError naming the first of its faults in this
+    order: malformed triplet, unknown layer, malformed number, index range, bad value."""
+    entries = []
+    for token in payload.split(" "):
+        triplet = token.rsplit(":", 2)
+        if len(triplet) != 3:
+            raise FormatError(path, lineno, f"malformed triplet {token!r}")
+        layer_id, i_text, v_text = triplet
+        p = manifest._position.get(layer_id)
+        if p is None:
+            raise FormatError(path, lineno, f"unknown layer_id {layer_id!r}")
+        try:
+            i, v = int(i_text), float(v_text)
+        except ValueError:
+            raise FormatError(path, lineno, f"malformed triplet {token!r}") from None
+        dim = manifest.layers[p].dim
+        if not 0 <= i < dim:
+            raise FormatError(path, lineno, f"layer {layer_id!r}: index {i} out of range (dim {dim})")
+        if not 0 <= v < np.inf:  # false for nan too
+            raise FormatError(path, lineno, f"layer {layer_id!r}: bad value {v_text!r}")
+        entries.append((p, i, v))
+    pos, ints, reals = zip(*entries)
+    return np.array(pos, dtype=np.intp), np.array(ints, dtype=np.int64), np.array(reals)
+
+
+def _parse_triplets(
+    path, lineno: int, payload: str, manifest: LayerManifest
+) -> SparseActivationVector:
+    """One line's triplet field as a vector: checked in bulk or, for a line the bulk
+    pass does not take, by the walk, which names the first faulty triplet. A
+    repeated index is reported only when no triplet has any other fault."""
+    if not payload:
+        return SparseActivationVector.empty(manifest)
+    # The bulk pass's strings are freed before the vector's long-lived arrays are
+    # made, which would pin half-empty allocator arenas among them (10 MB at 200 classes).
+    entries = _bulk_triplets(payload, manifest)
+    if entries is None:
+        entries = _walk_triplets(path, lineno, payload, manifest)
     try:
-        ints = list(map(int, idx_text))
-        reals = list(map(float, val_text))
-    except ValueError:
-        for cut, (i_text, v_text) in enumerate(zip(idx_text, val_text)):
-            try:
-                int(i_text), float(v_text)
-            except ValueError:
-                break
-        fault = f"malformed triplet {lids[cut] + ':' + i_text + ':' + v_text!r}"
-        del pos[cut:], lids[cut:], idx_text[cut:], val_text[cut:]
-        ints = list(map(int, idx_text))
-        reals = list(map(float, val_text))
-    pos = np.array(pos, dtype=np.intp)
-    idx = np.array(ints)  # object dtype when an index overflows int64
-    val = np.array(reals, dtype=np.float64)
-    dims = manifest._dims[pos]
-    out_of_range = (idx < 0) | (idx >= dims)
-    bad = out_of_range | ~(val >= 0) | (val == np.inf)  # ~(val >= 0) holds for nan too
-    if bad.any():
-        k = int(bad.argmax())
-        if out_of_range[k]:
-            fault = f"layer {lids[k]!r}: index {ints[k]} out of range (dim {dims[k]})"
-        else:
-            fault = f"layer {lids[k]!r}: bad value {val_text[k]!r}"
-    if fault is not None:
-        raise FormatError(path, lineno, fault)
-    # Free the line's few thousand strings and numbers before the vector's
-    # long-lived arrays are allocated: allocated among them, those arrays pin
-    # half-empty allocator arenas, and a 200-class build kept 10 MB more
-    # resident after every run.
-    del fields, lids, idx_text, val_text, ints, reals
-    try:
-        return SparseActivationVector._from_checked(
-            manifest, pos, idx.astype(np.int64, copy=False), val
-        )
+        return SparseActivationVector._from_checked(manifest, *entries)
     except ValidationError as exc:  # a repeated index
         raise FormatError(path, lineno, str(exc)) from None
 

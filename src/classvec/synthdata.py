@@ -122,7 +122,7 @@ class GeneratorSpec:
 def _build_hierarchy(rng: np.random.Generator, n_classes: int, branching: int):
     """Balanced random tree: shuffled leaves chunked level by level.
 
-    Returns (edges sorted, leaf synsets in class order, ancestor sets)."""
+    Returns (child -> parent edges sorted, leaf synsets in class order)."""
     leaves = [f"n{i + 1:08d}" for i in range(n_classes)]
     order = [leaves[i] for i in rng.permutation(n_classes)]
     edges: list[tuple[str, str]] = []

@@ -65,7 +65,7 @@ class LayerManifest:
                 groups.append(spec.group)
         self._layers = specs
         self._position = position
-        # by manifest position: offset_of, and flat entries (the constructor, the io triplet parser)
+        # by manifest position: _starts for offset_of and flat entries, _dims for the io triplet parser
         self._dims = _lock(np.array([spec.dim for spec in specs], dtype=np.int64))
         self._starts = _lock(np.array(starts, dtype=np.int64))
         self._total_dim = total
@@ -145,34 +145,25 @@ class LayerManifest:
         return f"LayerManifest({self.describe()})"
 
 
-def _as_indices(layer_id: str, raw) -> np.ndarray:
-    """Feature indices as int64; indices given as floats must be whole numbers."""
-    idx = np.asarray(raw)
+def _layer_arrays(layer_id: str, raw) -> tuple[np.ndarray, np.ndarray]:
+    """One layer's entries as int64 index and float64 value arrays, in the order
+    given; indices given as floats must be whole numbers."""
+    if isinstance(raw, tuple) and len(raw) == 2 and not np.isscalar(raw[0]):
+        idx, val = raw
+    else:
+        pairs = list(raw)
+        idx, val = [p[0] for p in pairs], [p[1] for p in pairs]
+    idx = np.asarray(idx)
     if idx.dtype.kind not in "iu":
         as_float = idx.astype(np.float64)
         whole = np.isfinite(as_float) & (as_float == np.trunc(as_float))
         if not whole.all():
             bad = as_float[~whole][0]
             raise ValidationError(f"layer {layer_id!r}: feature index {bad} is not an integer")
-    return idx.astype(np.int64, copy=False)
-
-
-def _layer_arrays(layer_id: str, raw) -> tuple[np.ndarray, np.ndarray]:
-    """One layer's entries as int64 index and float64 value arrays, in the order given."""
-    if (
-        isinstance(raw, tuple)
-        and len(raw) == 2
-        and (isinstance(raw[0], np.ndarray) or not np.isscalar(raw[0]))
-    ):
-        idx = _as_indices(layer_id, raw[0])
-        val = np.asarray(raw[1], dtype=np.float64)
-        if idx.shape != val.shape:
-            raise ValidationError(f"layer {layer_id!r}: index/value arrays differ in length")
-    else:
-        pairs = list(raw)
-        idx = _as_indices(layer_id, [p[0] for p in pairs])
-        val = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    return idx, val
+    val = np.asarray(val, dtype=np.float64)
+    if idx.shape != val.shape:
+        raise ValidationError(f"layer {layer_id!r}: index/value arrays differ in length")
+    return idx.astype(np.int64, copy=False), val
 
 
 def _layer_fault(layer_id: str, dim: int, idx: np.ndarray, val: np.ndarray) -> str | None:
@@ -238,6 +229,7 @@ def _lock(arr: np.ndarray) -> np.ndarray:
 
 _EMPTY_KEYS = _lock(np.empty(0, dtype=np.int64))
 _EMPTY_VALUES = _lock(np.empty(0, dtype=np.float64))
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 
 class SparseActivationVector:
@@ -252,37 +244,34 @@ class SparseActivationVector:
     stored_layers and iter_entries read those runs; nothing derived from
     them is kept. Two vectors are operable together only when their
     manifests compare equal.
+
+    ``entries`` maps each layer id to an ``(indices, values)`` pair of
+    equal-length sequences or arrays, or to an iterable of ``(index, value)``
+    pairs. A 2-tuple is always read as ``(indices, values)``: ``{"L": ((0, 1.0),
+    (3, 2.0))}`` stores 3.0 at index 0 and 2.0 at index 1. The first faulty
+    layer, in the mapping's order, raises a ValidationError for its first fault.
     """
 
     __slots__ = ("manifest", "_keys", "_values")
 
     def __init__(self, manifest: LayerManifest, entries: Mapping[str, object] | None = None):
         positions, idx_parts, val_parts = [], [], []
-        late_fault = None
         for layer_id in entries or ():
-            try:
-                position = manifest._position.get(layer_id)
-                if position is None:
-                    raise ValidationError(f"unknown layer_id {layer_id!r}")
-                idx, val = _layer_arrays(layer_id, entries[layer_id])
-            except ValidationError as exc:
-                late_fault = exc  # raised unless an earlier layer has a fault
-                break
+            position = manifest._position.get(layer_id)
+            if position is None:
+                raise ValidationError(f"unknown layer_id {layer_id!r}")
+            idx, val = _layer_arrays(layer_id, entries[layer_id])
+            fault = _layer_fault(layer_id, manifest.layers[position].dim, idx, val)
+            if fault is not None:
+                raise ValidationError(fault)
             positions.append(position)
             idx_parts.append(idx)
             val_parts.append(val)
         keys, values = _EMPTY_KEYS, _EMPTY_VALUES
         if idx_parts:
-            # every layer's checks in one pass over the concatenated entries
             pos = np.repeat(positions, [part.size for part in idx_parts])
-            idx = np.concatenate(idx_parts)
-            val = np.concatenate(val_parts)
-            ok = (idx >= 0) & (idx < manifest._dims[pos]) & (val >= 0) & (val < np.inf)
-            if not ok.all():
-                raise _first_fault(manifest, pos, idx, val)
+            idx, val = np.concatenate(idx_parts), np.concatenate(val_parts)
             keys, values = _flat_entries(manifest, pos, idx, val)
-        if late_fault is not None:
-            raise late_fault
         self.manifest = manifest
         self._keys = _lock(keys)
         self._values = _lock(values)
@@ -402,12 +391,27 @@ def dot(a: SparseActivationVector, b: SparseActivationVector) -> float:
     return _layer_dots(a.manifest, a._keys, a._values, _align(b._keys, b._values, a._keys))
 
 
+def _scaled_sq(manifest: LayerManifest, keys: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """(scale, sum of squares of values / scale) of flat entries. A plain sum of
+    squares that is not a normal float is not the true one: the scale is then
+    the largest |value|, which brings the sum into [1, size], else 1.0."""
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        sq = _layer_dots(manifest, keys, values, values)
+    if _TINY <= sq < np.inf or not values.any():
+        return 1.0, sq
+    scale = float(np.abs(values).max())
+    values = values / scale
+    return scale, _layer_dots(manifest, keys, values, values)
+
+
 def _sq_norm(v: SparseActivationVector) -> float:
-    return _layer_dots(v.manifest, v._keys, v._values, v._values)
+    with np.errstate(over="ignore"):  # callers check that the result is a normal float
+        return _layer_dots(v.manifest, v._keys, v._values, v._values)
 
 
 def l2_norm(v: SparseActivationVector) -> float:
-    return float(np.sqrt(_sq_norm(v)))
+    scale, sq = _scaled_sq(v.manifest, v._keys, v._values)
+    return scale * float(np.sqrt(sq))
 
 
 def cosine_similarity(a: SparseActivationVector, b: SparseActivationVector) -> float:
@@ -415,12 +419,17 @@ def cosine_similarity(a: SparseActivationVector, b: SparseActivationVector) -> f
 
     The denominator is sqrt(|a|^2 * |b|^2): with a correctly rounded sqrt
     this makes cosine(v, v) exactly 1.0, and the top clamp absorbs any
-    remaining 1-ulp overshoot for near-parallel inputs.
+    remaining 1-ulp overshoot for near-parallel inputs. Vectors whose squared
+    norms or their product are not normal floats are scaled to unit length first.
     """
     _require_same_manifest(a, b, "cosine_similarity")
     if a.is_zero or b.is_zero:
         raise ZeroVectorError("undefined cosine for zero vector")
-    return min(1.0, dot(a, b) / float(np.sqrt(_sq_norm(a) * _sq_norm(b))))
+    sq_a, sq_b = _sq_norm(a), _sq_norm(b)
+    if not all(_TINY <= sq < np.inf for sq in (sq_a, sq_b, sq_a * sq_b)):
+        a, b = normalize_whole(a), normalize_whole(b)
+        sq_a, sq_b = _sq_norm(a), _sq_norm(b)
+    return min(1.0, dot(a, b) / float(np.sqrt(sq_a * sq_b)))
 
 
 def euclidean_distance(a: SparseActivationVector, b: SparseActivationVector) -> float:
@@ -428,7 +437,8 @@ def euclidean_distance(a: SparseActivationVector, b: SparseActivationVector) -> 
     _require_same_manifest(a, b, "euclidean_distance")
     keys = np.union1d(a._keys, b._keys)
     diff = _align(a._keys, a._values, keys) - _align(b._keys, b._values, keys)
-    return float(np.sqrt(_layer_dots(a.manifest, keys, diff, diff)))
+    scale, sq = _scaled_sq(a.manifest, keys, diff)
+    return scale * float(np.sqrt(sq))
 
 
 # Cells in one block of layer_blocks (16 MB of float64), whatever the vector count.
@@ -493,15 +503,9 @@ def apply_threshold(v: SparseActivationVector, t: float) -> SparseActivationVect
 
 
 def _unit(manifest: LayerManifest, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The values of flat entries over their L2 norm. A sum of squares that is not
-    a normal float is not the norm's square: the values are then first divided
-    by their largest, which brings it into [1, size]."""
-    with np.errstate(over="ignore"):  # an overflow is caught just below
-        sq = _layer_dots(manifest, keys, values, values)
-    if not np.finfo(np.float64).tiny <= sq < np.inf:
-        values = values / values.max()
-        sq = _layer_dots(manifest, keys, values, values)
-    return values / float(np.sqrt(sq))
+    """The values of non-empty flat entries over their L2 norm."""
+    scale, sq = _scaled_sq(manifest, keys, values)
+    return values / scale / float(np.sqrt(sq))
 
 
 def normalize_by_layer(v: SparseActivationVector) -> SparseActivationVector:

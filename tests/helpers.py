@@ -99,6 +99,40 @@ def reference_dot(a: SparseActivationVector, b: SparseActivationVector) -> float
     return total
 
 
+def reference_parse_triplets(manifest: LayerManifest, payload: str):
+    """A triplet field read one token at a time: its vector, or the message of
+    the FormatError it earns. The first faulty triplet is reported, with the
+    first of its faults in this order: malformed triplet, unknown layer,
+    malformed number, index out of range, bad value. Only when no triplet
+    has any of those is a repeat reported: the first layer, in order of
+    appearance, that repeats an index, with its smallest repeated index."""
+    dense = np.zeros(manifest.total_dim)
+    seen: dict[str, list[int]] = {}
+    for token in payload.split(" ") if payload else []:
+        parts = token.rsplit(":", 2)
+        if len(parts) != 3:
+            return f"malformed triplet {token!r}"
+        lid, i_text, v_text = parts
+        if lid not in manifest:
+            return f"unknown layer_id {lid!r}"
+        try:
+            i, v = int(i_text), float(v_text)
+        except ValueError:
+            return f"malformed triplet {token!r}"
+        dim = manifest.dim_of(lid)
+        if i < 0 or i >= dim:
+            return f"layer {lid!r}: index {i} out of range (dim {dim})"
+        if math.isnan(v) or math.isinf(v) or v < 0:
+            return f"layer {lid!r}: bad value {v_text!r}"
+        seen.setdefault(lid, []).append(i)
+        dense[manifest.offset_of(lid) + i] = v
+    for lid, indices in seen.items():
+        repeats = [i for i in set(indices) if indices.count(i) > 1]
+        if repeats:
+            return f"layer {lid!r}: duplicate feature index {min(repeats)}"
+    return sparsify(manifest, dense)
+
+
 def reference_aggregate(images, mode: str) -> SparseActivationVector:
     """pipeline.aggregate layer by layer, in sorted layer-id order, built
     through the public constructor; the bitwise reference for the flat one.

@@ -1,12 +1,15 @@
 """CLI behavior: exit codes, artifacts, stream discipline, reproducible reruns."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import classvec
 from classvec import DistanceMatrix
 from classvec.cli import RUN_MANIFEST_NAME, main
 from classvec.io import write_distance_matrix_csv
@@ -528,20 +531,22 @@ def test_rerun_rejects_missing_file(tmp_path, capsys):
 
 # one flag fault per subcommand that main() rejects after argparse accepted it
 USAGE_FAULTS = {
-    "generate": ["--classes", "1"],
-    "build": ["--activations", "a.tsv", "--manifest", "m.tsv", "--class-map", "c.tsv",
+    "generate": ["generate", "--classes", "1"],
+    "build": ["build", "--activations", "a.tsv", "--manifest", "m.tsv", "--class-map", "c.tsv",
               "--norm", "none"],
-    "eval": ["--distances", "d.csv", "--taxonomy", "t.tsv", "--measure", "res"],
-    "mds": ["--distances", "d.csv", "--dims", "3", "--highlight", "h.tsv"],
-    "isomap": ["--distances", "d.csv", "--k-neighbors", "0"],
-    "solve": ["a + b", "--embeddings", "e.tsv", "--manifest", "m.tsv"],
+    "eval": ["eval", "--distances", "d.csv", "--taxonomy", "t.tsv", "--measure", "res"],
+    "mds": ["mds", "--distances", "d.csv", "--dims", "3", "--highlight", "h.tsv"],
+    "mds-dims-0": ["mds", "--distances", "d.csv", "--dims", "0"],
+    "isomap": ["isomap", "--distances", "d.csv", "--k-neighbors", "0"],
+    "isomap-dims-0": ["isomap", "--distances", "d.csv", "--dims", "0"],
+    "solve": ["solve", "a + b", "--embeddings", "e.tsv", "--manifest", "m.tsv"],
 }
 
 
-@pytest.mark.parametrize("subcommand", sorted(USAGE_FAULTS))
-def test_usage_error_creates_no_output_dir(tmp_path, capsys, subcommand):
+@pytest.mark.parametrize("case", sorted(USAGE_FAULTS))
+def test_usage_error_creates_no_output_dir(tmp_path, capsys, case):
     out = tmp_path / "out"
-    code = main([subcommand, *USAGE_FAULTS[subcommand], "--out", str(out)])
+    code = main([*USAGE_FAULTS[case], "--out", str(out)])
     assert code == 2
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
@@ -609,10 +614,13 @@ def test_version_flag(capsys):
 
 
 def test_module_entrypoint_runs_in_subprocess(tmp_path):
+    # the child imports the package that this test imported, wherever it lies
+    src = str(Path(classvec.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     result = subprocess.run(
         [sys.executable, "-m", "classvec", "generate", "--out",
          str(tmp_path / "g"), "--classes", "4", "--images", "1", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout == ""

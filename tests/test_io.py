@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classvec.io as cvio
@@ -28,7 +28,7 @@ from classvec import (
     ValidationError,
     classical_mds,
 )
-from helpers import random_vector, small_manifest
+from helpers import random_vector, reference_parse_triplets, small_manifest
 
 
 def write(path, text):
@@ -361,6 +361,70 @@ def test_both_loaders_split_triplets_at_the_last_two_colons(tmp_path):
     p = write(tmp_path / "bad.tsv", "img0\tcls0\tx:y:4:1.0\n")
     with pytest.raises(FormatError, match=r"layer 'x:y': index 4 out of range \(dim 4\)"):
         list(cvio.stream_activations(p, m))
+
+
+WALK_MANIFEST = LayerManifest([("a1", "g", 6), ("x:y", "g", 4), ("b", "h", 3)])
+
+# faulty spellings of each part of a triplet of WALK_MANIFEST
+FAULTY_PARTS = {
+    "layer": ["zz", "x", "a1:y"],
+    "index": ["6", "-1", str(10**20), "x", "1.5", ""],
+    "value": ["-1.0", "-1e-300", "nan", "inf", "1e999", "x", "1.0.0", ""],
+}
+MALFORMED = ["", "a1:3", "b", "x:y", "zz:-1"]
+
+
+@st.composite
+def triplet_fields(draw):
+    """A triplet field of WALK_MANIFEST: valid triplets in any order, and up
+    to three more put in at random places. Each of those is malformed,
+    repeats an index, or has a faulty part, and maybe faulty parts after it."""
+    m = WALK_MANIFEST
+    cells = [(spec.layer_id, i) for spec in m for i in range(spec.dim)]
+    values = st.one_of(st.floats(0, 1e300).map(repr), st.sampled_from(["0", "-0.0", "3", "+2.5"]))
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=10))
+    tokens = [f"{lid}:{i}:{draw(values)}" for lid, i in chosen]
+    kinds = ["malformed", "repeat", *FAULTY_PARTS]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        if kind == "malformed":
+            token = draw(st.sampled_from(MALFORMED))
+        elif kind == "repeat":
+            if not chosen:
+                continue
+            lid, i = draw(st.sampled_from(chosen))
+            token = f"{lid}:{i}:{draw(values)}"
+        else:
+            lid, i = draw(st.sampled_from(cells))
+            parts = [lid, str(i), draw(values)]
+            first = list(FAULTY_PARTS).index(kind)
+            for k, spellings in enumerate(FAULTY_PARTS.values()):
+                if k == first or (k > first and draw(st.booleans())):
+                    parts[k] = draw(st.sampled_from(spellings))
+            token = ":".join(parts)
+        tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("walk_only", [False, True], ids=["bulk", "walk-only"])
+@settings(max_examples=200)
+@given(payload=triplet_fields())
+def test_triplet_fields_match_per_token_reference(walk_only, payload):
+    want = reference_parse_triplets(WALK_MANIFEST, payload)
+    with ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
+        if walk_only:
+            stack.enter_context(mock.patch.object(cvio, "_bulk_triplets", return_value=None))
+        walk = stack.enter_context(mock.patch.object(cvio, "_walk_triplets", wraps=cvio._walk_triplets))
+        p = write(Path(tmp) / "a.tsv", f"img0\tcls0\t{payload}\n")
+        if isinstance(want, str):
+            with pytest.raises(FormatError) as err:
+                list(cvio.stream_activations(p, WALK_MANIFEST))
+            assert str(err.value) == f"{p}:1: {want}"
+        else:
+            (got,) = cvio.stream_activations(p, WALK_MANIFEST)
+            assert got.vector == want
+    # a line of plain layer ids that only repeats an index, if anything, is taken in bulk
+    in_bulk = "x:y" not in payload and (not isinstance(want, str) or "duplicate" in want)
+    assert walk.called == (bool(payload) and (walk_only or not in_bulk))
 
 
 LAYER_ID_PARTS = ["a", "b", ":", "7", "é", "層", "_"]

@@ -361,6 +361,18 @@ class TestOperations:
         z = SparseActivationVector(small_manifest(), {})
         assert normalize_whole(z).is_zero
 
+    @pytest.mark.parametrize("s", [1e-170, 1e-100, 1e100, 1e160, 1e200, 1e300])
+    def test_norms_and_cosine_at_extreme_scales(self, s):
+        # squares of s, or their sums or products, overflow or fall below the normal floats
+        m = LayerManifest([("a", "g", 2)])
+        two = SparseActivationVector(m, {"a": ([0, 1], [s, 2 * s])})
+        one = SparseActivationVector(m, {"a": ([0], [s])})
+        assert cosine_similarity(two, two) == 1.0
+        assert cosine_similarity(two, one) == pytest.approx(1 / np.sqrt(5.0), rel=1e-15)
+        assert euclidean_distance(two, one) == 2 * s
+        assert euclidean_distance(two, two) == 0.0
+        assert l2_norm(two) == pytest.approx(np.sqrt(5.0) * s, rel=1e-15)
+
     def test_restrict_to_groups(self):
         m = small_manifest()
         v = SparseActivationVector(
