@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import csv
 import html
-from bisect import bisect_right
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .correlation import RhoDistribution, SweepEntry
+from .correlation import RhoDistribution
 from .equations import EquationResult
 from .errors import FormatError, ValidationError
 from .manifold import DistanceMatrix, EmbeddingCoordinates
@@ -251,33 +250,6 @@ def _parse_triplets(
         raise FormatError(path, lineno, str(exc)) from None
 
 
-class _Heads(dict):
-    """Flattened index in one manifest -> its " layer_id:i:" head.
-
-    A layer id is checked when the first of its heads is made. The table
-    keeps at most ``cap`` heads and starts afresh when full: the images of
-    one class share most of their heads, so the heads in use come back at
-    once. A 200-class generated set has 36,180 distinct heads.
-    """
-
-    __slots__ = ("manifest", "_starts")
-    cap = 1 << 16
-
-    def __init__(self, manifest: LayerManifest):
-        super().__init__()
-        self.manifest = manifest
-        self._starts = manifest._starts.tolist()
-
-    def __missing__(self, key: int) -> str:
-        if len(self) >= self.cap:
-            self.clear()
-        position = bisect_right(self._starts, key) - 1
-        layer_id = self.manifest.layers[position].layer_id
-        _check_layer_id(layer_id)
-        head = self[key] = f" {layer_id}:{key - self._starts[position]}:"
-        return head
-
-
 class _Texts(dict):
     """Value -> its repr, which for a Python float is _fmt's shortest round-trip form.
 
@@ -298,22 +270,37 @@ class _Texts(dict):
 class _TripletMemo:
     """The text pieces of one write call's triplet fields.
 
-    ``heads`` serves the manifest of the latest vector and starts afresh
-    when a vector of another manifest comes, so it holds at most
-    _Heads.cap heads of one manifest. Once ``texts`` is full, values have
-    shown that they seldom repeat (class embeddings, for one), and the rest
-    are formatted directly.
+    ``heads`` serves ``manifest``, the manifest of the latest vector, and
+    starts afresh when a vector of another manifest comes. It has one slot
+    per flattened index: the " layer_id:i:" head, made the first time a
+    vector stores that index and never again, else None. A layer id is
+    checked before each of its heads is made. Once ``texts`` is full, values
+    have shown that they seldom repeat (class embeddings, for one), and the
+    rest are formatted directly.
     """
 
     def __init__(self):
-        self.heads: _Heads | None = None
+        self.manifest: LayerManifest | None = None
+        self.heads: list[str | None] = []
         self.texts = _Texts()
 
-    def heads_of(self, vector: SparseActivationVector) -> Iterator[str]:
+    def heads_of(self, vector: SparseActivationVector) -> list[str]:
         """The heads of the vector's entries, in flattened-index order."""
-        if self.heads is None or vector.manifest is not self.heads.manifest:
-            self.heads = _Heads(vector.manifest)
-        return map(self.heads.__getitem__, vector._keys.tolist())
+        manifest = vector.manifest
+        if manifest is not self.manifest:
+            self.manifest, self.heads = manifest, [None] * manifest.total_dim
+        keys, heads = vector._keys.tolist(), self.heads
+        found = list(map(heads.__getitem__, keys))
+        if not all(found):  # a head is never empty, so only a missing one is falsy
+            new = [key for key, head in zip(keys, found) if head is None]
+            positions = np.searchsorted(manifest._starts, new, side="right") - 1
+            starts = manifest._starts.tolist()
+            for key, position in zip(new, positions.tolist()):
+                layer_id = manifest.layers[position].layer_id
+                _check_layer_id(layer_id)
+                heads[key] = f" {layer_id}:{key - starts[position]}:"
+            found = list(map(heads.__getitem__, keys))
+        return found
 
     def texts_of(self, values: list[float]) -> Iterator[str]:
         texts = self.texts
@@ -691,14 +678,6 @@ def write_histogram_csv(dist: RhoDistribution, path) -> None:
         path,
         ["bin_lo", "bin_hi", "count"],
         ([_fmt(lo), _fmt(hi), int(count)] for lo, hi, count in zip(edges[:-1], edges[1:], counts)),
-    )
-
-
-def write_sweep_csv(entries: Sequence[SweepEntry], path) -> None:
-    _write_csv(
-        path,
-        ["groups", "n_classes", "mean_rho"],
-        ([entry.label, entry.n_classes, _fmt(entry.mean_rho)] for entry in entries),
     )
 
 

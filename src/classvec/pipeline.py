@@ -26,6 +26,7 @@ from .manifold import DistanceMatrix
 from .vectors import (  # noqa: F401
     LayerManifest,
     SparseActivationVector,
+    _sq_norm,
     apply_threshold,
     cosine_similarity,
     layer_blocks,
@@ -38,6 +39,7 @@ AGGREGATION_MODES = ("arithmetic", "geometric", "harmonic")
 NORM_STAGES = ("image", "class", "none")
 NORM_SCOPES = ("layer", "whole", "none")
 DISTANCE_METRICS = ("cosine", "euclidean")
+_SQ_LO, _SQ_HI = np.sqrt(np.finfo(np.float64).tiny), np.sqrt(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -262,6 +264,11 @@ def build_distance_matrix(
     is mirrored, so the matrix is exactly symmetric with a zero diagonal, and
     identical vectors are exactly 0 apart. Any zero vector under cosine
     raises ZeroVectorError.
+
+    A row whose squared norm is not in [_SQ_LO, _SQ_HI) would overflow or
+    underflow the sums: cosine takes it at unit length, as cosine_similarity
+    does, and euclidean divides every row by one power of two, which scales
+    exactly, and multiplies the distances back.
     """
     if metric not in DISTANCE_METRICS:
         raise ValidationError(f"metric must be one of {DISTANCE_METRICS}, got {metric!r}")
@@ -273,12 +280,21 @@ def build_distance_matrix(
         raise ValidationError("duplicate class_id among embeddings")
     vectors = [e.vector for e in embeddings]
     n = len(vectors)
+    extreme = [not _SQ_LO <= _sq_norm(v) < _SQ_HI for v in vectors]
+    scale = 1.0
+    if metric == "cosine":
+        vectors = [normalize_whole(v) if out else v for v, out in zip(vectors, extreme)]
+    elif any(out and not v.is_zero for v, out in zip(vectors, extreme)):
+        largest = max(v._values.max(initial=0.0) for v in vectors)
+        scale = float(np.ldexp(1.0, np.frexp(largest)[1] - 1))  # largest / scale in [1, 2)
 
     # Upper triangle: inner products (cosine) or squared distances (euclidean).
     # Row i adds the terms at its own stored columns with einsum, so each cell
     # sums its terms in one fixed order whatever the BLAS build or thread count.
     acc = np.zeros((n, n))
     for block in layer_blocks(vectors):
+        if scale != 1.0:
+            block /= scale
         for i in range(n):
             cols = np.flatnonzero(block[i])
             if not cols.size:
@@ -300,6 +316,6 @@ def build_distance_matrix(
             raise ZeroVectorError("undefined cosine for zero vector")
         acc = 1.0 - np.minimum(1.0, acc / np.sqrt(np.outer(sq, sq)))
     else:
-        acc = np.sqrt(acc)
+        acc = np.sqrt(acc) * scale
     upper = np.triu(acc, 1)
     return DistanceMatrix(labels, upper + upper.T)

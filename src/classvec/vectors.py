@@ -112,9 +112,6 @@ class LayerManifest:
     def dim_of(self, layer_id: str) -> int:
         return self.spec_of(layer_id).dim
 
-    def group_of(self, layer_id: str) -> str:
-        return self.spec_of(layer_id).group
-
     def offset_of(self, layer_id: str) -> int:
         self.spec_of(layer_id)
         return int(self._starts[self._position[layer_id]])
@@ -151,8 +148,13 @@ def _layer_arrays(layer_id: str, raw) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(raw, tuple) and len(raw) == 2 and not np.isscalar(raw[0]):
         idx, val = raw
     else:
-        pairs = list(raw)
-        idx, val = [p[0] for p in pairs], [p[1] for p in pairs]
+        try:
+            pairs = list(raw)
+            idx, val = [p[0] for p in pairs], [p[1] for p in pairs]
+        except (TypeError, IndexError):
+            raise ValidationError(
+                f"layer {layer_id!r}: not (indices, values) or (index, value) pairs"
+            ) from None
     idx = np.asarray(idx)
     if idx.dtype.kind not in "iu":
         as_float = idx.astype(np.float64)
@@ -247,8 +249,9 @@ class SparseActivationVector:
 
     ``entries`` maps each layer id to an ``(indices, values)`` pair of
     equal-length sequences or arrays, or to an iterable of ``(index, value)``
-    pairs. A 2-tuple is always read as ``(indices, values)``: ``{"L": ((0, 1.0),
-    (3, 2.0))}`` stores 3.0 at index 0 and 2.0 at index 1. The first faulty
+    pairs. A 2-tuple whose first item is not a scalar is read as ``(indices,
+    values)``: ``{"L": ((0, 1.0), (3, 2.0))}`` stores 3.0 at index 0 and 2.0 at
+    index 1; a bare pair ``{"L": (0, 1.0)}`` is refused. The first faulty
     layer, in the mapping's order, raises a ValidationError for its first fault.
     """
 

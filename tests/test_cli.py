@@ -360,10 +360,13 @@ def test_isomap_largest_component_flag_recovers(tmp_path):
     csv_path = tmp_path / "d.csv"
     disconnected_distances(csv_path)
     out = tmp_path / "iso"
-    code = main([
-        "isomap", "--distances", str(csv_path), "--k-neighbors", "1",
-        "--largest-component", "--out", str(out),
-    ])
+    with pytest.warns(UserWarning, match="only 1 positive eigenvalues"), pytest.warns(
+        UserWarning, match=r"neighborhood graph has 2 components; embedding largest \(3 of 6 points\)"
+    ):
+        code = main([
+            "isomap", "--distances", str(csv_path), "--k-neighbors", "1",
+            "--largest-component", "--out", str(out),
+        ])
     assert code == 0
     lines = (out / "coordinates.csv").read_text().splitlines()
     assert len(lines) == 1 + 3  # header plus the largest component only

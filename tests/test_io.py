@@ -23,7 +23,6 @@ from classvec import (
     LayerManifest,
     RhoDistribution,
     SparseActivationVector,
-    SweepEntry,
     Taxonomy,
     ValidationError,
     classical_mds,
@@ -525,15 +524,18 @@ def test_memoized_triplets_match_per_element_reference(first, second, picks, cap
         vectors.append(vecs[k % len(vecs)][1])
     with ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
         if cap is not None:
-            stack.enter_context(mock.patch.object(cvio._Heads, "cap", cap))
             stack.enter_context(mock.patch.object(cvio._Texts, "cap", cap))
         memo = cvio._TripletMemo()
+        stored: set[int] = set()  # flattened indices stored since the heads table started afresh
         for v in vectors:
+            if not v.is_zero and v.manifest is not memo.manifest:
+                stored = set()
             assert cvio._format_triplets(v, memo) == reference_triplets(v)
             assert len(memo.texts) <= cvio._Texts.cap
-            if memo.heads is not None:  # heads of one manifest only, at most cap of them
-                assert all(0 <= key < memo.heads.manifest.total_dim for key in memo.heads)
-                assert len(memo.heads) <= cvio._Heads.cap
+            stored |= set(v._keys.tolist())
+            if memo.manifest is not None:  # one slot per flattened index, a head only where stored
+                assert len(memo.heads) == memo.manifest.total_dim
+                assert {k for k, head in enumerate(memo.heads) if head is not None} == stored
         path = Path(tmp) / "a.tsv"
         cvio.write_activations(
             [cvio.ActivationRecord(f"i{k}", "c", v) for k, v in enumerate(vectors)], path
@@ -541,6 +543,34 @@ def test_memoized_triplets_match_per_element_reference(first, second, picks, cap
         assert path.read_text(encoding="utf-8") == "".join(
             f"i{k}\tc\t{reference_triplets(v)}\n" for k, v in enumerate(vectors)
         )
+
+
+def test_each_head_is_made_once_per_write_call(tmp_path):
+    # more distinct heads than one 2**16-entry table would hold, each vector written twice
+    m = LayerManifest([("a", "low", 50_000), ("b", "high", 50_000)])
+    v1 = SparseActivationVector(m, {"a": (np.arange(50_000), np.full(50_000, 0.5))})
+    v2 = SparseActivationVector(
+        m, {"a": (np.arange(0, 50_000, 2), np.full(25_000, 1.5)), "b": ([7, 9], [1.0, 2.0])}
+    )
+    v3 = SparseActivationVector(m, {"b": (np.arange(20_000), np.full(20_000, 0.25))})
+    vectors = [v1, v2, v3, v1, v2, v3]
+    distinct = len(set().union(*(v._keys.tolist() for v in vectors)))
+    assert distinct == 70_000
+    with mock.patch.object(cvio, "_check_layer_id", wraps=cvio._check_layer_id) as made:
+        cvio.write_activations(
+            [cvio.ActivationRecord(f"i{k}", "c", v) for k, v in enumerate(vectors)],
+            tmp_path / "a.tsv",
+        )
+    assert made.call_count == distinct  # the layer id is checked once per head made
+    with mock.patch.object(cvio, "_check_layer_id", wraps=cvio._check_layer_id) as made:
+        cvio.write_class_embeddings(
+            [ClassEmbedding(f"c{k}", "s", v, 1) for k, v in enumerate(vectors)],
+            tmp_path / "e.tsv",
+        )
+    assert made.call_count == distinct
+    assert (tmp_path / "a.tsv").read_text(encoding="utf-8") == "".join(
+        f"i{k}\tc\t{reference_triplets(v)}\n" for k, v in enumerate(vectors)
+    )
 
 
 # -- taxonomy and counts --------------------------------------------------------
@@ -932,19 +962,6 @@ def test_histogram_csv_counts_sum_to_classes(tmp_path):
     assert len(rows) == 40
     assert float(rows[0][0]) == -1.0 and float(rows[-1][1]) == 1.0
     assert sum(int(r[2]) for r in rows) == 40
-
-
-def test_sweep_csv(tmp_path):
-    entries = [
-        SweepEntry("all", None, 0.5, 10),
-        SweepEntry("mid", ("m1", "m2"), 0.75, 10),
-    ]
-    p = tmp_path / "sweep.csv"
-    cvio.write_sweep_csv(entries, p)
-    lines = p.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "groups,n_classes,mean_rho"
-    assert lines[1] == "all,10,0.5"
-    assert lines[2] == "mid,10,0.75"
 
 
 # -- equation output ----------------------------------------------------------------------------

@@ -474,6 +474,21 @@ class TestBuildDistanceMatrix:
         embs = [ClassEmbedding("c0", "s0", v, 1), ClassEmbedding("c1", "s1", v, 1)]
         assert np.all(build_distance_matrix(embs, "cosine").values == 0.0)
 
+    @pytest.mark.parametrize("s", [1e-170, 1e-100, 1e100, 1e160, 1e300, 8e307])
+    def test_extreme_scales_match_pairwise_functions(self, s):
+        # squared norms that overflow or underflow, under --norm none
+        m = LayerManifest([("L", "g", 2)])
+        a = SparseActivationVector(m, {"L": ([0, 1], [s, 2 * s])})
+        b = SparseActivationVector(m, {"L": ([0], [s])})
+        embs = [ClassEmbedding(c, "s", v, 1) for c, v in zip("abc", (a, a, b))]
+        cos = build_distance_matrix(embs, "cosine").values
+        euc = build_distance_matrix(embs, "euclidean").values
+        assert cos[0, 1] == euc[0, 1] == 0.0
+        assert cos[0, 2] == pytest.approx(1.0 - cosine_similarity(a, b), abs=1e-12)
+        assert cos[0, 2] == pytest.approx(1.0 - 1.0 / math.sqrt(5.0), abs=1e-12)
+        assert euc[0, 2] == pytest.approx(euclidean_distance(a, b), rel=1e-12)
+        assert euc[0, 2] == pytest.approx(2.0 * s, rel=1e-12)
+
     @settings(max_examples=150)
     @given(data=st.data())
     def test_matches_pairwise_functions(self, data):

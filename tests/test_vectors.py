@@ -199,6 +199,8 @@ class TestConstruction:
             ({"a1": ([1, 1], [1.0, 1.0]), "zz": ([0], [1.0])}, "'a1': duplicate feature index 1"),
             ({"zz": ([0], [1.0]), "a1": ([1, 1], [1.0, 1.0])}, "unknown layer_id 'zz'"),
             ({"a1": ([0], [1.0]), "a2": ([0, 1], [1.0])}, "'a2': index/value arrays differ"),
+            # a bare (index, value) pair is neither form
+            ({"a1": ([0], [1.0]), "a2": (0, 1.0)}, r"'a2': not \(indices, values\) or \(index, value"),
         ],
     )
     def test_first_faulty_layer_reported(self, entries, message):
