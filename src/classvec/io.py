@@ -27,6 +27,12 @@ splits at its last two colons. index is a Python int in [0, dim) of its
 layer, value a Python float that is finite and >= 0, and no (layer, index)
 repeats within a line. Triplets may come in any order; writers emit them in
 manifest order, indices ascending, zeros left out.
+
+A triplet field is read whole by NumPy's C text reader (np.loadtxt), one
+triplet to a row, with no Python object made per field, when it has no
+fault and the reader reads it as int() and float() would. Every other line
+is read one triplet at a time by a walk, which names the first fault, so a
+FormatError's message and line do not depend on which read a line took.
 """
 
 from __future__ import annotations
@@ -184,24 +190,42 @@ def write_manifest(manifest: LayerManifest, path) -> None:
 
 
 def _bulk_triplets(payload: str, manifest: LayerManifest):
-    """A line's (positions, indices, values) arrays by one split and bulk maps,
-    or None for any line it cannot take whole: a layer id that holds ':', or
+    """A line's (positions, indices, values) arrays, read by NumPy's C text reader
+    one triplet to a row, or None for any line it cannot take whole: a layer id
+    that holds ':', a spelling int() or float() reads and the reader does not, or
     any fault."""
-    count = payload.count(" ") + 1
-    # One split: a tab (never inside a field) marks where each triplet ends,
-    # so every 4th piece is a tab exactly when each triplet has two colons.
-    fields = payload.replace(" ", ":\t:").split(":")
-    if len(fields) != 4 * count - 1 or fields[3::4].count("\t") != count - 1:
+    # The reader strips whitespace and control characters around a number (it reads
+    # "5\x1c" as 5, which int() refuses) and a trailing NUL from a layer id, and it
+    # skips blank tokens. So a line with an empty triplet, a byte below 0x20, or a
+    # non-ASCII character that is not printable is left to the walk. DEL (0x7f) the
+    # reader refuses in a number and keeps in a layer id, as the walk does.
+    if payload.isascii():
+        if np.frombuffer(payload.encode(), np.uint8).min() < 0x20:
+            return None
+    elif not payload.isprintable():
+        return None
+    tokens = payload.split(" ")
+    if "" in tokens:
         return None
     try:
-        pos = np.array(list(map(manifest._position.__getitem__, fields[0::4])), dtype=np.intp)
-        idx = np.array(list(map(int, fields[1::4])))  # object dtype when an index overflows int64
-        val = np.array(list(map(float, fields[2::4])), dtype=np.float64)
-    except (KeyError, ValueError):
+        rows = np.loadtxt(tokens, delimiter=":", dtype=manifest._triplet_row, comments=None, ndmin=1)
+    except ValueError:  # not three fields in a row, or a number the reader refuses
         return None
+    if len(rows) != len(tokens):
+        return None
+    # one position lookup per run of equal layer ids
+    layer = rows["layer"]
+    starts = np.concatenate(([0], np.flatnonzero(layer[1:] != layer[:-1]) + 1))
+    try:
+        heads = list(map(manifest._position.__getitem__, layer[starts].tolist()))
+    except KeyError:
+        return None
+    pos = np.repeat(np.array(heads, dtype=np.intp), np.diff(starts, append=len(rows)))
+    idx, val = rows["index"], rows["value"]
     # ~(val >= 0) holds for nan too
     bad = (idx < 0) | (idx >= manifest._dims[pos]) | ~(val >= 0) | (val == np.inf)
-    return None if bad.any() else (pos, idx.astype(np.int64, copy=False), val)
+    # val is copied: a vector may keep it, and a view would keep every row alive
+    return None if bad.any() else (pos, idx, val.copy())
 
 
 def _walk_triplets(path, lineno: int, payload: str, manifest: LayerManifest):

@@ -43,7 +43,9 @@ class LayerManifest:
     of (layer, i) is offset_of(layer) + i.
     """
 
-    __slots__ = ("_layers", "_position", "_dims", "_starts", "_total_dim", "_groups", "_digest")
+    __slots__ = (
+        "_layers", "_position", "_dims", "_starts", "_triplet_row", "_total_dim", "_groups", "_digest"
+    )
 
     def __init__(self, layers: Iterable[tuple[str, str, int]]):
         specs = tuple(LayerSpec(str(lid), str(grp), int(dim)) for lid, grp, dim in layers)
@@ -68,6 +70,10 @@ class LayerManifest:
         # by manifest position: _starts for offset_of and flat entries, _dims for the io triplet parser
         self._dims = _lock(np.array([spec.dim for spec in specs], dtype=np.int64))
         self._starts = _lock(np.array(starts, dtype=np.int64))
+        # a row of the io triplet reader: its layer field is one character wider than
+        # any layer id here, so an id that the reader cuts to this width matches none
+        width = max(len(spec.layer_id) for spec in specs) + 1
+        self._triplet_row = np.dtype([("layer", f"U{width}"), ("index", np.int64), ("value", np.float64)])
         self._total_dim = total
         self._groups = tuple(groups)
         payload = "\n".join(f"{s.layer_id}\t{s.group}\t{s.dim}" for s in specs)
@@ -149,20 +155,23 @@ def _layer_arrays(layer_id: str, raw) -> tuple[np.ndarray, np.ndarray]:
         idx, val = raw
     else:
         try:
-            pairs = list(raw)
-            idx, val = [p[0] for p in pairs], [p[1] for p in pairs]
-        except (TypeError, IndexError):
-            raise ValidationError(
-                f"layer {layer_id!r}: not (indices, values) or (index, value) pairs"
-            ) from None
-    idx = np.asarray(idx)
-    if idx.dtype.kind not in "iu":
-        as_float = idx.astype(np.float64)
-        whole = np.isfinite(as_float) & (as_float == np.trunc(as_float))
-        if not whole.all():
-            bad = as_float[~whole][0]
-            raise ValidationError(f"layer {layer_id!r}: feature index {bad} is not an integer")
-    val = np.asarray(val, dtype=np.float64)
+            pairs = [tuple(p) for p in raw]
+        except TypeError:
+            pairs = None
+        if pairs is None or any(len(p) != 2 for p in pairs):
+            raise ValidationError(f"layer {layer_id!r}: not (indices, values) or (index, value) pairs")
+        idx, val = [p[0] for p in pairs], [p[1] for p in pairs]
+    try:
+        idx = np.asarray(idx)
+        if idx.dtype.kind not in "iu":
+            as_float = idx.astype(np.float64)
+            whole = np.isfinite(as_float) & (as_float == np.trunc(as_float))
+            if not whole.all():
+                bad = as_float[~whole][0]
+                raise ValidationError(f"layer {layer_id!r}: feature index {bad} is not an integer")
+        val = np.asarray(val, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"layer {layer_id!r}: an index or value is not a number") from None
     if idx.shape != val.shape:
         raise ValidationError(f"layer {layer_id!r}: index/value arrays differ in length")
     return idx.astype(np.int64, copy=False), val

@@ -1,8 +1,10 @@
 """File format round-trips, positional error reporting, and artifact writers."""
 
+import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from contextlib import ExitStack
 from pathlib import Path
@@ -10,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import classvec.io as cvio
@@ -362,15 +364,34 @@ def test_both_loaders_split_triplets_at_the_last_two_colons(tmp_path):
         list(cvio.stream_activations(p, m))
 
 
-WALK_MANIFEST = LayerManifest([("a1", "g", 6), ("x:y", "g", 4), ("b", "h", 3)])
+# the longest layer id is not ASCII, so its lines test the reader's width and
+# the bulk read of non-ASCII lines
+WALK_MANIFEST = LayerManifest([("a1", "g", 6), ("x:y", "g", 4), ("b", "h", 3), ("lé層g", "h", 2)])
 
-# faulty spellings of each part of a triplet of WALK_MANIFEST
+# control and non-printable characters, which int() and float() strip or refuse
+# where NumPy's text reader may do otherwise; no loader passes a tab in a triplet
+# field, but _parse_triplets must still refuse one
+CONTROL = ["\x00", "\x1c", "\x1d", "\x1e", "\x1f", "\x7f", "\t", "\x0b", "\r", "\x85", "\xa0"]
+
+# spellings of each part of a triplet of WALK_MANIFEST: faulty ones, and ones that
+# the text reader reads otherwise than int() and float() do, or refuses
 FAULTY_PARTS = {
-    "layer": ["zz", "x", "a1:y"],
-    "index": ["6", "-1", str(10**20), "x", "1.5", ""],
-    "value": ["-1.0", "-1e-300", "nan", "inf", "1e999", "x", "1.0.0", ""],
+    # "lé層gz" is one character longer than any layer id
+    "layer": ["zz", "x", "a1:y", "lé層gz", *(f"a1{c}" for c in CONTROL)],
+    "index": ["6", "-1", str(10**20), "x", "1.5", "", "1_0", "+5", "-0", *(f"1{c}" for c in CONTROL)],
+    "value": [
+        "-1.0", "-1e-300", "nan", "inf", "1e999", "x", "1.0.0", "", "1_0", "+5", "-0",
+        "0x1p3", "1.5d0", "nan(1)", *(f"0.5{c}" for c in CONTROL),
+    ],
 }
-MALFORMED = ["", "a1:3", "b", "x:y", "zz:-1"]
+MALFORMED = ["", "a1:3", "b", "x:y", "zz:-1", *CONTROL]
+
+# shortest and long decimal spellings of any non-negative double, subnormals included
+VALUES = st.one_of(
+    st.floats(0, sys.float_info.max).map(repr),
+    st.floats(0, sys.float_info.max).map("{:.25e}".format),
+    st.sampled_from(["0", "-0.0", "3", "+2.5"]),
+)
 
 
 @st.composite
@@ -380,9 +401,8 @@ def triplet_fields(draw):
     repeats an index, or has a faulty part, and maybe faulty parts after it."""
     m = WALK_MANIFEST
     cells = [(spec.layer_id, i) for spec in m for i in range(spec.dim)]
-    values = st.one_of(st.floats(0, 1e300).map(repr), st.sampled_from(["0", "-0.0", "3", "+2.5"]))
     chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=10))
-    tokens = [f"{lid}:{i}:{draw(values)}" for lid, i in chosen]
+    tokens = [f"{lid}:{i}:{draw(VALUES)}" for lid, i in chosen]
     kinds = ["malformed", "repeat", *FAULTY_PARTS]
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
         if kind == "malformed":
@@ -391,10 +411,10 @@ def triplet_fields(draw):
             if not chosen:
                 continue
             lid, i = draw(st.sampled_from(chosen))
-            token = f"{lid}:{i}:{draw(values)}"
+            token = f"{lid}:{i}:{draw(VALUES)}"
         else:
             lid, i = draw(st.sampled_from(cells))
-            parts = [lid, str(i), draw(values)]
+            parts = [lid, str(i), draw(VALUES)]
             first = list(FAULTY_PARTS).index(kind)
             for k, spellings in enumerate(FAULTY_PARTS.values()):
                 if k == first or (k > first and draw(st.booleans())):
@@ -407,23 +427,73 @@ def triplet_fields(draw):
 @pytest.mark.parametrize("walk_only", [False, True], ids=["bulk", "walk-only"])
 @settings(max_examples=200)
 @given(payload=triplet_fields())
+@example(payload=" ")
+@example(payload="   ")
 def test_triplet_fields_match_per_token_reference(walk_only, payload):
     want = reference_parse_triplets(WALK_MANIFEST, payload)
-    with ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
+    with ExitStack() as stack:
         if walk_only:
             stack.enter_context(mock.patch.object(cvio, "_bulk_triplets", return_value=None))
         walk = stack.enter_context(mock.patch.object(cvio, "_walk_triplets", wraps=cvio._walk_triplets))
-        p = write(Path(tmp) / "a.tsv", f"img0\tcls0\t{payload}\n")
+        # called directly, as both loaders call it, so that the field may hold a tab or CR
         if isinstance(want, str):
             with pytest.raises(FormatError) as err:
-                list(cvio.stream_activations(p, WALK_MANIFEST))
-            assert str(err.value) == f"{p}:1: {want}"
+                cvio._parse_triplets("a.tsv", 1, payload, WALK_MANIFEST)
+            assert str(err.value) == f"a.tsv:1: {want}"
         else:
-            (got,) = cvio.stream_activations(p, WALK_MANIFEST)
-            assert got.vector == want
-    # a line of plain layer ids that only repeats an index, if anything, is taken in bulk
-    in_bulk = "x:y" not in payload and (not isinstance(want, str) or "duplicate" in want)
+            assert cvio._parse_triplets("a.tsv", 1, payload, WALK_MANIFEST) == want
+    # a printable line of layer ids without ':' and of spellings that the text reader
+    # reads as int() and float() do, which only repeats an index if anything, is taken in bulk
+    in_bulk = (
+        payload.isprintable()
+        and "x:y" not in payload
+        and "_" not in payload
+        and (not isinstance(want, str) or "duplicate" in want)
+    )
     assert walk.called == (bool(payload) and (walk_only or not in_bulk))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        *(
+            f"b:0:1.0 {token.format(c)}"
+            for c in CONTROL
+            for token in ("a1{}:1:0.5", "a1:1{}:0.5", "a1:1:0.5{}", "{}a1:1:0.5", "lé層g:1:0.5{}")
+        ),
+        *("b:0:1.0  a1:1:0.5", " b:0:1.0", "b:0:1.0 ", " ", "   "),
+        # the reader cuts a layer id to one character more than the longest one
+        "b:0:1.0 lé層gz:1:0.5",
+        # NumPy 1.23 deprecated reading a float in an integer column as an integer
+        "b:0:1.0 a1:1.5:0.5",
+    ],
+)
+def test_bulk_reader_declines_lines_it_would_misread(payload):
+    # it strips control characters, skips empty triplets and cuts long layer ids
+    assert cvio._bulk_triplets(payload, WALK_MANIFEST) is None
+
+
+# pieces of lines that need not be triplets at all
+LINE_PIECES = [*"a1bxy:lé層gz0123456789.e+-_ ", "nan", "inf", "1_0", *CONTROL]
+
+
+@settings(max_examples=300)
+@given(payload=st.one_of(triplet_fields(), st.lists(st.sampled_from(LINE_PIECES), max_size=40).map("".join)))
+def test_bulk_reader_matches_the_walk_or_declines(payload):
+    if not payload:  # _parse_triplets reads an empty field as the zero vector
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cvio._bulk_triplets(payload, WALK_MANIFEST)
+    if got is None:
+        return
+    try:
+        want = cvio._walk_triplets("a.tsv", 1, payload, WALK_MANIFEST)
+    except FormatError as exc:
+        pytest.fail(f"read in bulk, but the walk refuses it: {exc}")
+    for array, expected in zip(got, want):
+        assert array.dtype == expected.dtype
+        assert array.tobytes() == expected.tobytes()
 
 
 LAYER_ID_PARTS = ["a", "b", ":", "7", "é", "層", "_"]
@@ -445,7 +515,8 @@ def manifests_and_vectors(draw):
         entries = {}
         for spec in m:  # empty index sets leave silent layers and zero vectors
             idx = draw(st.lists(st.integers(0, spec.dim - 1), max_size=spec.dim, unique=True))
-            val = [draw(st.floats(1e-300, 1e300)) for _ in idx]
+            # every positive finite double, subnormals included
+            val = [draw(st.floats(5e-324, sys.float_info.max)) for _ in idx]
             entries[spec.layer_id] = (idx, val)
         vecs.append((entries, SparseActivationVector(m, entries)))
     return m, vecs

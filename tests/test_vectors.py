@@ -201,6 +201,11 @@ class TestConstruction:
             ({"a1": ([0], [1.0]), "a2": ([0, 1], [1.0])}, "'a2': index/value arrays differ"),
             # a bare (index, value) pair is neither form
             ({"a1": ([0], [1.0]), "a2": (0, 1.0)}, r"'a2': not \(indices, values\) or \(index, value"),
+            # nor is a pair with a third item, which would otherwise be dropped
+            ({"a1": ([0], [1.0]), "a2": [(0, 1.0, 9)]}, r"'a2': not \(indices, values\) or \(index, value"),
+            # an index or value that is not a number
+            ({"a1": ([0], [1.0]), "a2": [("x", 1.0)]}, "'a2': an index or value is not a number"),
+            ({"a2": ([0], ["y"]), "a1": ([0], [1.0])}, "'a2': an index or value is not a number"),
         ],
     )
     def test_first_faulty_layer_reported(self, entries, message):
