@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import html
+import warnings
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -208,9 +209,16 @@ def _bulk_triplets(payload: str, manifest: LayerManifest):
     if "" in tokens:
         return None
     try:
-        rows = np.loadtxt(tokens, delimiter=":", dtype=manifest._triplet_row, comments=None, ndmin=1)
-    except ValueError:  # not three fields in a row, or a number the reader refuses
+        # From NumPy 1.23 a reader that still reads a float such as "1.5" in the index
+        # column, as the index 1, warns that this is deprecated; as an error, the line
+        # goes to the walk, which refuses it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(tokens, delimiter=":", dtype=manifest._triplet_row, comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):  # not three fields, or a number it refuses
         return None
+    # the guards above leave no blank row for the reader to skip; a reader that skips
+    # some other row would misalign the arrays, so the count is checked all the same
     if len(rows) != len(tokens):
         return None
     # one position lookup per run of equal layer ids

@@ -473,6 +473,25 @@ def test_bulk_reader_declines_lines_it_would_misread(payload):
     assert cvio._bulk_triplets(payload, WALK_MANIFEST) is None
 
 
+def test_bulk_reader_declines_a_float_index_that_the_reader_only_warns_about():
+    # from NumPy 1.23 until the deprecation expires, the reader reads "1.5" in an
+    # integer column as 1 and warns; the line must still go to the walk, also where
+    # DeprecationWarning is ignored, as it is by default outside __main__
+    real_loadtxt = np.loadtxt
+
+    def lenient_loadtxt(tokens, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return real_loadtxt([token.replace(":1.5:", ":1:") for token in tokens], **kwargs)
+
+    payload = "b:0:1.0 a1:1.5:0.5"
+    with mock.patch.object(cvio.np, "loadtxt", lenient_loadtxt), warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        assert cvio._bulk_triplets(payload, WALK_MANIFEST) is None
+        with pytest.raises(FormatError) as err:
+            cvio._parse_triplets("a.tsv", 1, payload, WALK_MANIFEST)
+    assert str(err.value) == "a.tsv:1: malformed triplet 'a1:1.5:0.5'"
+
+
 # pieces of lines that need not be triplets at all
 LINE_PIECES = [*"a1bxy:lé層gz0123456789.e+-_ ", "nan", "inf", "1_0", *CONTROL]
 
