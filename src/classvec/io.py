@@ -40,6 +40,8 @@ from __future__ import annotations
 import csv
 import html
 import warnings
+from io import StringIO
+from itertools import chain
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -149,11 +151,16 @@ def _write_lines(path, lines: Iterable[str]) -> None:
             fh.write(line + "\n")
 
 
+def _csv_line(cells: Sequence) -> str:
+    """One CSV row, quoted as csv.writer quotes it, without its LF."""
+    buf = StringIO()
+    # the LF terminator is what makes csv.writer quote a cell holding one
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
+
+
 def _write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_lines(path, map(_csv_line, chain([header], rows)))
 
 
 # -- manifest ---------------------------------------------------------------
@@ -523,10 +530,20 @@ def load_class_embeddings(path, manifest: LayerManifest) -> list[ClassEmbedding]
 
 
 def write_distance_matrix_csv(matrix: DistanceMatrix, path) -> None:
-    """Header row of labels, then one row of %.9g cells per class."""
+    """Header row of labels, then one row of %.9g cells per class.
+
+    A label may hold a comma, a quote or LF, which the header quotes, but not
+    CR, at which the loader's line reader would split the header.
+    """
+    for label in matrix.labels:
+        if "\r" in label:
+            raise ValidationError(f"distance matrix label {label!r} contains CR")
     # mirror the upper triangle so the file is exactly symmetric
     vals = np.triu(matrix.values) + np.triu(matrix.values, 1).T
-    _write_csv(path, matrix.labels, ([f"{v:.9g}" for v in row] for row in vals))
+    # one % call formats a row; a %.9g cell never needs CSV quoting
+    row_format = ",".join(["%.9g"] * matrix.size)
+    rows = (row_format % tuple(row.tolist()) for row in vals)
+    _write_lines(path, chain([_csv_line(matrix.labels)], rows))
 
 
 def load_distance_matrix_csv(path) -> DistanceMatrix:

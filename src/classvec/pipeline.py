@@ -29,6 +29,7 @@ from .vectors import (  # noqa: F401
     _sq_norm,
     apply_threshold,
     cosine_similarity,
+    euclidean_distance,
     layer_blocks,
     normalize_by_layer,
     normalize_whole,
@@ -267,8 +268,8 @@ def build_distance_matrix(
 
     A row whose squared norm is not in [_SQ_LO, _SQ_HI) would overflow or
     underflow the sums: cosine takes it at unit length, as cosine_similarity
-    does, and euclidean divides every row by one power of two, which scales
-    exactly, and multiplies the distances back.
+    does, and euclidean, when such a row is not zero, fills every cell with
+    euclidean_distance, which scales each pair by its own largest value.
     """
     if metric not in DISTANCE_METRICS:
         raise ValidationError(f"metric must be one of {DISTANCE_METRICS}, got {metric!r}")
@@ -281,20 +282,20 @@ def build_distance_matrix(
     vectors = [e.vector for e in embeddings]
     n = len(vectors)
     extreme = [not _SQ_LO <= _sq_norm(v) < _SQ_HI for v in vectors]
-    scale = 1.0
     if metric == "cosine":
         vectors = [normalize_whole(v) if out else v for v, out in zip(vectors, extreme)]
     elif any(out and not v.is_zero for v, out in zip(vectors, extreme)):
-        largest = max(v._values.max(initial=0.0) for v in vectors)
-        scale = float(np.ldexp(1.0, np.frexp(largest)[1] - 1))  # largest / scale in [1, 2)
+        upper = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                upper[i, j] = euclidean_distance(vectors[i], vectors[j])
+        return DistanceMatrix(labels, upper + upper.T)
 
     # Upper triangle: inner products (cosine) or squared distances (euclidean).
     # Row i adds the terms at its own stored columns with einsum, so each cell
     # sums its terms in one fixed order whatever the BLAS build or thread count.
     acc = np.zeros((n, n))
     for block in layer_blocks(vectors):
-        if scale != 1.0:
-            block /= scale
         for i in range(n):
             cols = np.flatnonzero(block[i])
             if not cols.size:
@@ -316,6 +317,6 @@ def build_distance_matrix(
             raise ZeroVectorError("undefined cosine for zero vector")
         acc = 1.0 - np.minimum(1.0, acc / np.sqrt(np.outer(sq, sq)))
     else:
-        acc = np.sqrt(acc) * scale
+        acc = np.sqrt(acc)
     upper = np.triu(acc, 1)
     return DistanceMatrix(labels, upper + upper.T)

@@ -148,9 +148,13 @@ class LayerManifest:
         return f"LayerManifest({self.describe()})"
 
 
-def _layer_arrays(layer_id: str, raw) -> tuple[np.ndarray, np.ndarray]:
+_INT64_END = 2.0**63  # int64 holds the whole numbers in [-_INT64_END, _INT64_END)
+
+
+def _layer_arrays(layer_id: str, dim: int, raw) -> tuple[np.ndarray, np.ndarray]:
     """One layer's entries as int64 index and float64 value arrays, in the order
-    given; indices given as floats must be whole numbers."""
+    given; indices given as floats must be whole numbers, and one beyond int64
+    is out of range, named as given."""
     if isinstance(raw, tuple) and len(raw) == 2 and not np.isscalar(raw[0]):
         idx, val = raw
     else:
@@ -163,12 +167,17 @@ def _layer_arrays(layer_id: str, raw) -> tuple[np.ndarray, np.ndarray]:
         idx, val = [p[0] for p in pairs], [p[1] for p in pairs]
     try:
         idx = np.asarray(idx)
-        if idx.dtype.kind not in "iu":
-            as_float = idx.astype(np.float64)
+        if idx.dtype.kind != "i":
+            # compared before any cast, which 10**400 would overflow; nan is on neither side
+            beyond = (idx < -_INT64_END) | (idx >= _INT64_END)
+            as_float = np.where(beyond, 0.0, idx).astype(np.float64)
             whole = np.isfinite(as_float) & (as_float == np.trunc(as_float))
             if not whole.all():
                 bad = as_float[~whole][0]
                 raise ValidationError(f"layer {layer_id!r}: feature index {bad} is not an integer")
+            if beyond.any():
+                bad = idx[beyond][0]
+                raise ValidationError(f"layer {layer_id!r}: feature index {bad} out of range (dim {dim})")
         val = np.asarray(val, dtype=np.float64)
     except (TypeError, ValueError):
         raise ValidationError(f"layer {layer_id!r}: an index or value is not a number") from None
@@ -272,8 +281,9 @@ class SparseActivationVector:
             position = manifest._position.get(layer_id)
             if position is None:
                 raise ValidationError(f"unknown layer_id {layer_id!r}")
-            idx, val = _layer_arrays(layer_id, entries[layer_id])
-            fault = _layer_fault(layer_id, manifest.layers[position].dim, idx, val)
+            dim = manifest.layers[position].dim
+            idx, val = _layer_arrays(layer_id, dim, entries[layer_id])
+            fault = _layer_fault(layer_id, dim, idx, val)
             if fault is not None:
                 raise ValidationError(fault)
             positions.append(position)

@@ -1,5 +1,8 @@
 """File format round-trips, positional error reporting, and artifact writers."""
 
+import csv
+import io
+import itertools
 import sys
 import tempfile
 import time
@@ -841,6 +844,65 @@ def test_distance_csv_bad_cells(tmp_path):
     p3 = write(tmp_path / "d3.csv", "")
     with pytest.raises(FormatError, match="empty"):
         cvio.load_distance_matrix_csv(p3)
+
+
+def cell_by_cell_distance_csv(matrix):
+    """Oracle: the mirrored matrix as csv.writer writes f"{v:.9g}" cells, one call per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(matrix.labels)
+    vals = np.triu(matrix.values) + np.triu(matrix.values, 1).T
+    writer.writerows([f"{v:.9g}" for v in row] for row in vals)
+    return buf.getvalue()
+
+
+@st.composite
+def distance_matrices(draw):
+    n = draw(st.integers(1, 6))
+    # every finite non-negative float: zero, subnormals and the largest float included
+    cell = st.one_of(
+        st.sampled_from([0.0, 5e-324, sys.float_info.min, sys.float_info.max]),
+        st.floats(0.0, sys.float_info.min),
+        st.floats(0.0, sys.float_info.max),
+    )
+    values = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        values[i, j] = draw(cell)
+        # the lower triangle may differ within the tolerance; the writer mirrors the upper one
+        values[j, i] = values[i, j] + draw(st.sampled_from([0.0, 1e-13]))
+    label = st.text(st.characters(codec="utf-8", exclude_characters="\r"), max_size=4)
+    labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    return DistanceMatrix(labels, values)
+
+
+@settings(max_examples=300)
+@given(matrix=distance_matrices())
+def test_distance_csv_matches_the_cell_by_cell_writer(matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.csv"
+        cvio.write_distance_matrix_csv(matrix, p)
+        assert p.read_bytes().decode("utf-8") == cell_by_cell_distance_csv(matrix)
+        assert cvio.load_distance_matrix_csv(p).labels == matrix.labels
+
+
+def test_distance_csv_labels_round_trip_except_cr(tmp_path):
+    labels = ["a,b", 'say "hi"', "two\nlines", "  lead", ""]
+    m = DistanceMatrix(labels, np.ones((5, 5)) - np.eye(5))
+    cvio.write_distance_matrix_csv(m, tmp_path / "d.csv")
+    assert cvio.load_distance_matrix_csv(tmp_path / "d.csv") == m
+    # the loader's line reader would split the header at a CR, so the writer refuses it
+    with pytest.raises(ValidationError, match="contains CR"):
+        cvio.write_distance_matrix_csv(DistanceMatrix(["a\rb", "c"], [[0, 1], [1, 0]]), tmp_path / "cr.csv")
+    assert not (tmp_path / "cr.csv").exists()
+
+
+def test_distance_csv_thousand_classes_match_the_cell_by_cell_writer(tmp_path):
+    n = 1000
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.random((n, n)) * 10.0 ** rng.integers(-320, 308, size=(n, n)), 1)
+    m = DistanceMatrix([f"c{i:04d}" for i in range(n)], upper + upper.T)
+    cvio.write_distance_matrix_csv(m, tmp_path / "big.csv")
+    assert (tmp_path / "big.csv").read_bytes().decode("utf-8") == cell_by_cell_distance_csv(m)
 
 
 def test_distance_csv_thousand_classes_under_ten_seconds(tmp_path):

@@ -1,5 +1,6 @@
 """Aggregation pipeline: means, full builds, and distance matrices."""
 
+import itertools
 import math
 from collections import namedtuple
 from unittest import mock
@@ -488,6 +489,13 @@ class TestBuildDistanceMatrix:
         assert cos[0, 2] == pytest.approx(1.0 - 1.0 / math.sqrt(5.0), abs=1e-12)
         assert euc[0, 2] == pytest.approx(euclidean_distance(a, b), rel=1e-12)
         assert euc[0, 2] == pytest.approx(2.0 * s, rel=1e-12)
+        # a row far larger than the others must not take the small pairs below the subnormals
+        big = SparseActivationVector(m, {"L": ([0], [1e300])})
+        vecs = (big, a, b)
+        euc = build_distance_matrix([ClassEmbedding(c, "s", v, 1) for c, v in zip("abc", vecs)], "euclidean")
+        for i, j in itertools.combinations(range(3), 2):
+            assert euc.values[i, j] == euc.values[j, i] == euclidean_distance(vecs[i], vecs[j])
+        assert euc.values[1, 2] == pytest.approx(2.0 * s, rel=1e-12)
 
     @settings(max_examples=150)
     @given(data=st.data())

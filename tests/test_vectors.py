@@ -206,6 +206,18 @@ class TestConstruction:
             # an index or value that is not a number
             ({"a1": ([0], [1.0]), "a2": [("x", 1.0)]}, "'a2': an index or value is not a number"),
             ({"a2": ([0], ["y"]), "a1": ([0], [1.0])}, "'a2': an index or value is not a number"),
+            # an index beyond int64 is out of range, named as given, with no warning
+            (
+                {"a1": ([0], [1.0]), "a2": ([10**20], [1.0])},
+                "'a2': feature index 100000000000000000000 out of range",
+            ),
+            ({"a2": ([-(2**63) - 1], [1.0])}, "'a2': feature index -9223372036854775809 out of range"),
+            ({"a2": ([2**63], [1.0])}, "'a2': feature index 9223372036854775808 out of range"),
+            (
+                {"a2": (np.array([2**63], dtype=np.uint64), [1.0])},
+                "'a2': feature index 9223372036854775808 out of range",
+            ),
+            ({"a2": ([1e20], [1.0])}, r"'a2': feature index 1e\+20 out of range"),
         ],
     )
     def test_first_faulty_layer_reported(self, entries, message):
