@@ -28,11 +28,17 @@ layer, value a Python float that is finite and >= 0, and no (layer, index)
 repeats within a line. Triplets may come in any order; writers emit them in
 manifest order, indices ascending, zeros left out.
 
-A triplet field is read whole by NumPy's C text reader (np.loadtxt), one
-triplet to a row, with no Python object made per field, when it has no
-fault and the reader reads it as int() and float() would. Every other line
-is read one triplet at a time by a walk, which names the first fault, so a
-FormatError's message and line do not depend on which read a line took.
+Triplet fields are read a batch of lines at a time: the fields of
+consecutive lines, up to _BATCH_TRIPLETS triplets in all (a longer line is a
+batch alone), go to one call of NumPy's C text reader (np.loadtxt), one
+triplet to a row, with no Python object made per field. A batch is taken
+whole when it has no fault, the reader reads it as int() and float() would,
+and each line holds its indices ascending and no zeros, as the writers write
+them. Any other batch is read again line by line: in bulk where the reader
+takes the line, else one triplet at a time by a walk, which names the first
+fault. So a FormatError's message and line do not depend on which read a
+line took, and faults keep line order: a fault met while a batch fills is
+raised only after the batch's earlier lines are yielded.
 """
 
 from __future__ import annotations
@@ -129,16 +135,18 @@ def _tsv_rows(path, n_fields: int, expected: str) -> Iterator[tuple[int, list[st
 
 
 def _csv_rows(path, what: str) -> Iterator:
-    """The header row, then (row number, cells) of each non-empty row, read
-    one at a time; ``what`` names the file in the empty-file error."""
+    """The header row, then (line number, cells) of each non-empty row, read
+    one at a time; ``what`` names the file in the empty-file error. A row that
+    a quoted LF spreads over several lines is numbered by its last line."""
     reader = csv.reader(_read_lines(path))
     header = next(reader, None)
     if header is None:
         raise FormatError(path, 1, f"{what} is empty")
     yield header
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        lineno = reader.line_num
         if len(row) != len(header):
             raise FormatError(path, lineno, f"expected {len(header)} cells, got {len(row)}")
         yield lineno, row
@@ -197,11 +205,18 @@ def write_manifest(manifest: LayerManifest, path) -> None:
 # -- activations ------------------------------------------------------------
 
 
-def _bulk_triplets(payload: str, manifest: LayerManifest):
-    """A line's (positions, indices, values) arrays, read by NumPy's C text reader
-    one triplet to a row, or None for any line it cannot take whole: a layer id
-    that holds ':', a spelling int() or float() reads and the reader does not, or
-    any fault."""
+# Consecutive triplet fields are read together up to this many triplets; a longer
+# field is read alone. The batch, not the file, bounds a loader's memory.
+_BATCH_TRIPLETS = 4096
+
+
+def _bulk_triplets(payloads: list[str], manifest: LayerManifest):
+    """The (positions, indices, values) arrays of non-empty triplet fields, one
+    after another, read by NumPy's C text reader one triplet to a row, or None
+    for any fields it cannot take whole: a layer id that holds ':', a spelling
+    int() or float() reads and the reader does not, or any fault."""
+    # The fields are joined as one field, which has an empty triplet where any of them has.
+    payload = " ".join(payloads)
     # The reader strips whitespace and control characters around a number (it reads
     # "5\x1c" as 5, which int() refuses) and a trailing NUL from a layer id, and it
     # skips blank tokens. So a line with an empty triplet, a byte below 0x20, or a
@@ -280,13 +295,75 @@ def _parse_triplets(
         return SparseActivationVector.empty(manifest)
     # The bulk pass's strings are freed before the vector's long-lived arrays are
     # made, which would pin half-empty allocator arenas among them (10 MB at 200 classes).
-    entries = _bulk_triplets(payload, manifest)
+    entries = _bulk_triplets([payload], manifest)
     if entries is None:
         entries = _walk_triplets(path, lineno, payload, manifest)
     try:
         return SparseActivationVector._from_checked(manifest, *entries)
     except ValidationError as exc:  # a repeated index
         raise FormatError(path, lineno, str(exc)) from None
+
+
+def _batch_vectors(fields: list[str], ends: list[int], manifest: LayerManifest):
+    """The vectors of non-empty triplet fields, whose triplets end where ``ends``
+    says, read in one bulk pass; or None unless every field is read whole and
+    holds keys that strictly increase and values > 0, as the writers write them."""
+    entries = _bulk_triplets(fields, manifest)
+    if entries is None:
+        return None
+    pos, idx, val = entries
+    keys = manifest._starts[pos] + idx  # the flattened index
+    rises = keys[1:] > keys[:-1]
+    rises[[end - 1 for end in ends[:-1]]] = True  # a field's first key is not compared
+    if not (rises.all() and (val > 0).all()):
+        return None
+    return [
+        SparseActivationVector._trusted(manifest, keys[start:end], val[start:end])
+        for start, end in zip([0, *ends], ends)
+    ]
+
+
+def _read_batch(path, manifest: LayerManifest, batch: list[tuple], ends: list[int]) -> Iterator[tuple]:
+    """(item, vector) of each (line number, triplet field, item) of a batch, in
+    order: read in bulk or, for a batch the bulk pass does not take whole, line
+    by line through _parse_triplets, which names the first faulty line."""
+    fields = [payload for _, payload, _ in batch if payload]
+    vectors = _batch_vectors(fields, ends, manifest) if fields else []
+    if vectors is None:
+        for lineno, payload, item in batch:
+            yield item, _parse_triplets(path, lineno, payload, manifest)
+        return
+    vectors = iter(vectors)
+    for _, payload, item in batch:
+        yield item, next(vectors) if payload else SparseActivationVector.empty(manifest)
+
+
+def _triplet_lines(path, manifest: LayerManifest, lines: Iterator[tuple]) -> Iterator[tuple]:
+    """(item, vector) of each (line number, triplet field, item) that ``lines``
+    yields, in order, read a batch of lines at a time.
+
+    A batch holds consecutive lines of up to _BATCH_TRIPLETS triplets in all,
+    or one longer line. A fault that ``lines`` raises while a batch fills is
+    raised once the batch's earlier lines are yielded, so faults keep line order.
+    """
+    batch, ends, size = [], [], 0  # ends: where each non-empty field's triplets end
+    while True:
+        try:
+            line = next(lines, None)
+        except FormatError:
+            yield from _read_batch(path, manifest, batch, ends)
+            raise
+        if line is None:
+            break
+        count = line[1].count(" ") + 1 if line[1] else 0
+        if batch and size + count > _BATCH_TRIPLETS:
+            yield from _read_batch(path, manifest, batch, ends)
+            batch, ends, size = [], [], 0
+        batch.append(line)
+        if count:
+            size += count
+            ends.append(size)
+    yield from _read_batch(path, manifest, batch, ends)
 
 
 class _Texts(dict):
@@ -310,36 +387,42 @@ class _TripletMemo:
     """The text pieces of one write call's triplet fields.
 
     ``heads`` serves ``manifest``, the manifest of the latest vector, and
-    starts afresh when a vector of another manifest comes. It has one slot
-    per flattened index: the " layer_id:i:" head, made the first time a
-    vector stores that index and never again, else None. A layer id is
-    checked before each of its heads is made. Once ``texts`` is full, values
-    have shown that they seldom repeat (class embeddings, for one), and the
-    rest are formatted directly.
+    starts afresh when a vector of another manifest comes. It is an object
+    array with one slot per flattened index: the " layer_id:i:" head, made
+    the first time a vector stores that index and never again, else None.
+    ``made`` marks the slots that hold a head. A layer id is checked before
+    each of its heads is made, and a head it refuses leaves its slot unmarked.
+    Once ``texts`` is full, values have shown that they seldom repeat (class
+    embeddings, for one), and the rest are formatted directly.
     """
 
     def __init__(self):
         self.manifest: LayerManifest | None = None
-        self.heads: list[str | None] = []
+        self.heads = np.empty(0, dtype=object)
+        self.made = np.zeros(0, dtype=bool)
         self.texts = _Texts()
 
     def heads_of(self, vector: SparseActivationVector) -> list[str]:
         """The heads of the vector's entries, in flattened-index order."""
         manifest = vector.manifest
         if manifest is not self.manifest:
-            self.manifest, self.heads = manifest, [None] * manifest.total_dim
-        keys, heads = vector._keys.tolist(), self.heads
-        found = list(map(heads.__getitem__, keys))
-        if not all(found):  # a head is never empty, so only a missing one is falsy
-            new = [key for key, head in zip(keys, found) if head is None]
+            self.manifest = manifest
+            self.heads = np.empty(manifest.total_dim, dtype=object)
+            self.made = np.zeros(manifest.total_dim, dtype=bool)
+        keys = vector._keys
+        missing = ~self.made[keys]
+        if missing.any():
+            new = keys[missing]
             positions = np.searchsorted(manifest._starts, new, side="right") - 1
             starts = manifest._starts.tolist()
-            for key, position in zip(new, positions.tolist()):
+            heads = []
+            for key, position in zip(new.tolist(), positions.tolist()):
                 layer_id = manifest.layers[position].layer_id
                 _check_layer_id(layer_id)
-                heads[key] = f" {layer_id}:{key - starts[position]}:"
-            found = list(map(heads.__getitem__, keys))
-        return found
+                heads.append(f" {layer_id}:{key - starts[position]}:")
+            self.heads[new] = np.array(heads, dtype=object)
+            self.made[new] = True
+        return self.heads[keys].tolist()
 
     def texts_of(self, values: list[float]) -> Iterator[str]:
         texts = self.texts
@@ -359,17 +442,23 @@ def _format_triplets(vector: SparseActivationVector, memo: _TripletMemo) -> str:
 
 
 def stream_activations(path, manifest: LayerManifest) -> Iterator[ActivationRecord]:
-    """Yield records one at a time in file order; memory stays O(1 record).
+    """Yield records one at a time in file order. Triplet fields are read a
+    batch of lines at a time, so memory is bounded by one batch plus one line.
 
     Line format: image_id TAB class_id TAB triplets (see the module
     docstring; the third field may be empty).
     """
-    for lineno, (image_id, class_id, payload) in _tsv_rows(
-        path, 3, "expected 3 tab-separated fields, got {}"
-    ):
-        if not image_id or not class_id:
-            raise FormatError(path, lineno, "empty image_id or class_id")
-        yield ActivationRecord(image_id, class_id, _parse_triplets(path, lineno, payload, manifest))
+
+    def lines():
+        for lineno, (image_id, class_id, payload) in _tsv_rows(
+            path, 3, "expected 3 tab-separated fields, got {}"
+        ):
+            if not image_id or not class_id:
+                raise FormatError(path, lineno, "empty image_id or class_id")
+            yield lineno, payload, (image_id, class_id)
+
+    for (image_id, class_id), vector in _triplet_lines(path, manifest, lines()):
+        yield ActivationRecord(image_id, class_id, vector)
 
 
 def activation_class_sizes(path) -> dict[str, int]:
@@ -502,21 +591,24 @@ def write_class_embeddings(embeddings: Sequence[ClassEmbedding], path) -> None:
 
 
 def load_class_embeddings(path, manifest: LayerManifest) -> list[ClassEmbedding]:
+    def lines():
+        seen: set[str] = set()
+        for lineno, (class_id, synset_id, count_text, payload) in _tsv_rows(
+            path, 4, "expected 4 tab-separated fields, got {}"
+        ):
+            if not class_id or not synset_id:
+                raise FormatError(path, lineno, "empty class_id or synset_id")
+            if class_id in seen:
+                raise FormatError(path, lineno, f"duplicate class_id {class_id!r}")
+            seen.add(class_id)
+            try:
+                image_count = int(count_text)
+            except ValueError:
+                raise FormatError(path, lineno, f"image_count {count_text!r} is not an integer") from None
+            yield lineno, payload, (lineno, class_id, synset_id, image_count)
+
     out = []
-    seen: set[str] = set()
-    for lineno, (class_id, synset_id, count_text, payload) in _tsv_rows(
-        path, 4, "expected 4 tab-separated fields, got {}"
-    ):
-        if not class_id or not synset_id:
-            raise FormatError(path, lineno, "empty class_id or synset_id")
-        if class_id in seen:
-            raise FormatError(path, lineno, f"duplicate class_id {class_id!r}")
-        seen.add(class_id)
-        try:
-            image_count = int(count_text)
-        except ValueError:
-            raise FormatError(path, lineno, f"image_count {count_text!r} is not an integer") from None
-        vector = _parse_triplets(path, lineno, payload, manifest)
+    for (lineno, class_id, synset_id, image_count), vector in _triplet_lines(path, manifest, lines()):
         try:
             out.append(ClassEmbedding(class_id, synset_id, vector, image_count))
         except ValidationError as exc:

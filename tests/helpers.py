@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -127,7 +128,7 @@ def reference_parse_triplets(manifest: LayerManifest, payload: str):
         seen.setdefault(lid, []).append(i)
         dense[manifest.offset_of(lid) + i] = v
     for lid, indices in seen.items():
-        repeats = [i for i in set(indices) if indices.count(i) > 1]
+        repeats = [i for i, count in Counter(indices).items() if count > 1]
         if repeats:
             return f"layer {lid!r}: duplicate feature index {min(repeats)}"
     return sparsify(manifest, dense)

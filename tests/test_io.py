@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import classvec.io as cvio
 from classvec import (
+    DEFAULT_CONFIG,
     ClassEmbedding,
     DistanceMatrix,
     EmbeddingCoordinates,
@@ -29,7 +30,9 @@ from classvec import (
     RhoDistribution,
     SparseActivationVector,
     Taxonomy,
+    UnknownClassError,
     ValidationError,
+    build_class_embeddings,
     classical_mds,
 )
 from helpers import random_vector, reference_parse_triplets, small_manifest
@@ -473,7 +476,7 @@ def test_triplet_fields_match_per_token_reference(walk_only, payload):
 )
 def test_bulk_reader_declines_lines_it_would_misread(payload):
     # it strips control characters, skips empty triplets and cuts long layer ids
-    assert cvio._bulk_triplets(payload, WALK_MANIFEST) is None
+    assert cvio._bulk_triplets([payload], WALK_MANIFEST) is None
 
 
 def test_bulk_reader_declines_a_float_index_that_the_reader_only_warns_about():
@@ -489,7 +492,7 @@ def test_bulk_reader_declines_a_float_index_that_the_reader_only_warns_about():
     payload = "b:0:1.0 a1:1.5:0.5"
     with mock.patch.object(cvio.np, "loadtxt", lenient_loadtxt), warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
-        assert cvio._bulk_triplets(payload, WALK_MANIFEST) is None
+        assert cvio._bulk_triplets([payload], WALK_MANIFEST) is None
         with pytest.raises(FormatError) as err:
             cvio._parse_triplets("a.tsv", 1, payload, WALK_MANIFEST)
     assert str(err.value) == "a.tsv:1: malformed triplet 'a1:1.5:0.5'"
@@ -506,7 +509,7 @@ def test_bulk_reader_matches_the_walk_or_declines(payload):
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = cvio._bulk_triplets(payload, WALK_MANIFEST)
+        got = cvio._bulk_triplets([payload], WALK_MANIFEST)
     if got is None:
         return
     try:
@@ -516,6 +519,132 @@ def test_bulk_reader_matches_the_walk_or_declines(payload):
     for array, expected in zip(got, want):
         assert array.dtype == expected.dtype
         assert array.tobytes() == expected.tobytes()
+
+
+# -- triplet fields read a batch of lines at a time ------------------------------
+
+# WALK_MANIFEST and a layer wide enough for a valid field longer than a whole batch
+BIG_DIM = cvio._BATCH_TRIPLETS + 200
+BATCH_MANIFEST = LayerManifest([*WALK_MANIFEST, ("big", "h", BIG_DIM)])
+
+
+# fields of triplet_fields() with the tab and CR that would split their line
+# swapped for other control characters
+LINE_FIELDS = triplet_fields().map(lambda field: field.replace("\t", "\x0b").replace("\r", "\x1c"))
+
+
+@st.composite
+def long_fields(draw):
+    """A field of more "big" triplets than a default batch holds, maybe with
+    explicit zeros among them, in index order or shuffled, maybe with a field
+    of LINE_FIELDS after it."""
+    n = draw(st.integers(cvio._BATCH_TRIPLETS + 1, BIG_DIM))
+    start = draw(st.integers(0, BIG_DIM - n))
+    zeros = draw(st.booleans())
+    tokens = [f"big:{start + k}:{k % 5 * 0.25 if zeros else k % 5 + 0.5}" for k in range(n)]
+    if draw(st.booleans()):
+        draw(st.randoms(use_true_random=False)).shuffle(tokens)
+    tail = draw(st.one_of(st.just(""), LINE_FIELDS))
+    return " ".join([*tokens, tail] if tail else tokens)
+
+
+# the cells of WALK_MANIFEST's layers that the text reader reads, in manifest order
+BULK_CELLS = [
+    (spec.layer_id, i) for spec in WALK_MANIFEST if ":" not in spec.layer_id for i in range(spec.dim)
+]
+
+
+def written_field(cells) -> str:
+    """Distinct cells as the writers write them: indices ascending, values > 0."""
+    cells = sorted(cells, key=BULK_CELLS.index)
+    return " ".join(f"{lid}:{i}:{k + 0.5!r}" for k, (lid, i) in enumerate(cells))
+
+
+@st.composite
+def triplet_files(draw):
+    """The triplet fields of a file's lines: empty ones, written ones, in half
+    the files ones of LINE_FIELDS, and maybe one longer than a default batch.
+    The other half are read in bulk a whole batch at a time."""
+    written = st.lists(st.sampled_from(BULK_CELLS), unique=True, min_size=1, max_size=10)
+    kinds = [st.just(""), written.map(written_field)]
+    if draw(st.booleans()):
+        kinds.append(LINE_FIELDS)
+    fields = draw(st.lists(st.one_of(kinds), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        fields.insert(draw(st.integers(0, len(fields))), draw(long_fields()))
+    return fields
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@settings(max_examples=100, deadline=None)
+@given(fields=triplet_files())
+def test_loaders_match_the_reference_line_for_line_at_any_batch_size(loader, fields):
+    load, prefix = LOADERS[loader]
+    wants = [reference_parse_triplets(BATCH_MANIFEST, field) for field in fields]
+    fault = next(((k, want) for k, want in enumerate(wants, start=1) if isinstance(want, str)), None)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "f.tsv"
+        text = "".join(f"{prefix.format(k, k)}{field}\n" for k, field in enumerate(fields))
+        p.write_text(text, encoding="utf-8")
+        for size in (1, 7, cvio._BATCH_TRIPLETS):
+            with mock.patch.object(cvio, "_BATCH_TRIPLETS", size):
+                if fault is None:
+                    assert [r.vector for r in load(p, BATCH_MANIFEST)] == wants
+                else:
+                    with pytest.raises(FormatError) as err:
+                        load(p, BATCH_MANIFEST)
+                    assert str(err.value) == f"{p}:{fault[0]}: {fault[1]}"
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_fields_as_the_writers_write_them_are_read_one_batch_at_a_time(tmp_path, loader):
+    m = small_manifest()
+    three = SparseActivationVector(m, {"a1": ([0, 5], [1.0, 2.0]), "c1": ([3], [0.5])})
+    ten = SparseActivationVector(m, {"b1": (np.arange(10), np.full(10, 0.25))})
+    vectors = [three, SparseActivationVector(m, {}), three, three, ten, three]
+    p = tmp_path / "f.tsv"
+    if loader == "activations":
+        cvio.write_activations([cvio.ActivationRecord(f"i{k}", "c", v) for k, v in enumerate(vectors)], p)
+    else:
+        cvio.write_class_embeddings([ClassEmbedding(f"c{k}", "s", v, 1) for k, v in enumerate(vectors)], p)
+    load, _ = LOADERS[loader]
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(cvio, "_BATCH_TRIPLETS", 7))
+        loadtxt = stack.enter_context(mock.patch.object(cvio.np, "loadtxt", wraps=np.loadtxt))
+        per_line = stack.enter_context(mock.patch.object(cvio, "_parse_triplets"))
+        got = [r.vector for r in load(p, m)]
+    assert got == vectors
+    # lines 1-3 (6 triplets), line 4, line 5 (10, longer than a batch) and line 6
+    assert loadtxt.call_count == 4
+    assert not per_line.called
+
+
+@pytest.mark.parametrize("fault", ["i3\tc0\ta1:3\n", "i3\tc0\ta1:3:1.0\r\n"], ids=["malformed", "crlf"])
+def test_consumer_error_on_an_earlier_line_of_a_batch_comes_first(tmp_path, fault):
+    m = small_manifest()
+    p = write(tmp_path / "a.tsv", f"i0\tc0\ta1:0:1.0\ni1\tc9\ta1:1:1.0\ni2\tc0\ta1:2:1.0\n{fault}")
+    assert cvio._BATCH_TRIPLETS >= 4  # the four lines are one batch
+    with pytest.raises(UnknownClassError, match="record 'i1': unknown class 'c9'"):
+        build_class_embeddings(cvio.stream_activations(p, m), DEFAULT_CONFIG, {"c0": "s0"}, m)
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_triplet_fault_beats_a_later_field_fault_of_its_batch(tmp_path, loader):
+    load, prefix = LOADERS[loader]
+    lines = [f"{prefix.format(k, k)}a1:{k}:1.0" for k in range(4)]
+    lines[1] = f"{prefix.format(1, 1)}a1:1:-1.0"
+    lines[3] = "too\tfew"
+    p = write(tmp_path / "f.tsv", "".join(f"{line}\n" for line in lines))
+    with pytest.raises(FormatError) as err:
+        load(p, small_manifest())
+    assert str(err.value) == f"{p}:2: layer 'a1': bad value '-1.0'"
+
+
+def test_image_count_fault_beats_a_later_triplet_fault_of_its_batch(tmp_path):
+    p = write(tmp_path / "e.tsv", "c0\tn0\t0\ta1:0:1.0\nc1\tn1\t3\tnope:0:1.0\n")
+    with pytest.raises(FormatError) as err:
+        cvio.load_class_embeddings(p, small_manifest())
+    assert str(err.value) == f"{p}:1: class 'c0': image_count must be >= 1, got 0"
 
 
 LAYER_ID_PARTS = ["a", "b", ":", "7", "é", "層", "_"]
@@ -664,6 +793,24 @@ def test_each_head_is_made_once_per_write_call(tmp_path):
     assert (tmp_path / "a.tsv").read_text(encoding="utf-8") == "".join(
         f"i{k}\tc\t{reference_triplets(v)}\n" for k, v in enumerate(vectors)
     )
+
+
+def test_a_refused_head_is_not_marked_made():
+    m = LayerManifest([("a", "low", 4), ("conv 1", "low", 8)])
+    bad = SparseActivationVector(m, {"a": ([1], [1.0]), "conv 1": ([3], [2.0])})
+    good = SparseActivationVector(m, {"a": ([1, 2], [0.5, 1.5])})
+    refused = m.offset_of("conv 1") + 3
+    message = "layer_id 'conv 1' is empty or contains whitespace"
+    memo = cvio._TripletMemo()
+    with pytest.raises(ValidationError, match=message):
+        cvio._format_triplets(bad, memo)
+    assert not memo.made[refused] and memo.heads[refused] is None
+    assert cvio._format_triplets(good, memo) == "a:1:0.5 a:2:1.5"
+    # the next vector that stores the refused key meets the same error, not a stale or empty head
+    with pytest.raises(ValidationError, match=message):
+        cvio._format_triplets(bad, memo)
+    assert not memo.made[refused] and memo.heads[refused] is None
+    assert np.flatnonzero(memo.made).tolist() == [1, 2]
 
 
 # -- taxonomy and counts --------------------------------------------------------
@@ -844,6 +991,14 @@ def test_distance_csv_bad_cells(tmp_path):
     p3 = write(tmp_path / "d3.csv", "")
     with pytest.raises(FormatError, match="empty"):
         cvio.load_distance_matrix_csv(p3)
+
+
+def test_distance_csv_numbers_file_lines_past_a_quoted_lf(tmp_path):
+    # the header's second label holds LF, so the bad cell's row 3 is line 4
+    p = write(tmp_path / "d.csv", 'a,"b\nc"\n0,1\n1,x\n')
+    with pytest.raises(FormatError) as err:
+        cvio.load_distance_matrix_csv(p)
+    assert str(err.value) == f"{p}:4: non-numeric cell"
 
 
 def cell_by_cell_distance_csv(matrix):
