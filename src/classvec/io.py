@@ -641,16 +641,27 @@ def write_distance_matrix_csv(matrix: DistanceMatrix, path) -> None:
 def load_distance_matrix_csv(path) -> DistanceMatrix:
     reader = _csv_rows(path, "distance matrix CSV")
     labels = next(reader)
-    rows = []
+    n = len(labels)
+    # Rows fill one array that doubles as they come, up to n rows: a header
+    # with more labels than the file has rows asks for no n x n array, and
+    # each outgrown array goes back to the system, as many small row arrays
+    # freed from the heap would not.
+    values = np.empty((min(n, 1), n))
+    count = 0
     for lineno, row in reader:
         try:
-            rows.append([float(c) for c in row])
+            cells = [float(c) for c in row]
         except ValueError:
             raise FormatError(path, lineno, "non-numeric cell") from None
-    if len(rows) != len(labels):
-        raise FormatError(path, 1, f"expected {len(labels)} rows, got {len(rows)}")
+        if count < n:
+            if count == len(values):
+                values = np.concatenate([values, np.empty((min(count, n - count), n))])
+            values[count] = cells
+        count += 1
+    if count != n:
+        raise FormatError(path, 1, f"expected {n} rows, got {count}")
     try:
-        return DistanceMatrix(labels, rows)
+        return DistanceMatrix(labels, values)
     except ValidationError as exc:
         raise FormatError(path, 1, str(exc)) from None
 

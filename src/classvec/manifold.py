@@ -65,9 +65,10 @@ class DistanceMatrix:
             raise ValidationError("distance matrix contains negative values")
         if np.any(vals.diagonal() != 0):
             raise ValidationError("distance matrix diagonal must be exactly zero")
-        asym = float(np.max(np.abs(vals - vals.T))) if n > 1 else 0.0
-        if asym > SYMMETRY_TOL:
-            raise ValidationError(f"distance matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
+        if not np.array_equal(vals, vals.T):  # no n x n float temporary when symmetric
+            asym = float(np.max(np.abs(vals - vals.T)))
+            if asym > SYMMETRY_TOL:
+                raise ValidationError(f"distance matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
         self._labels = labels
         self._values = _locked(vals)
         self._index = {lab: i for i, lab in enumerate(labels)}
@@ -170,10 +171,17 @@ def classical_mds(d: DistanceMatrix, k: int) -> EmbeddingCoordinates:
     if k < 1:
         raise ValidationError(f"embedding dimension must be >= 1, got {k}")
     n = d.size
-    sq = d.values * d.values
-    centering = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * (centering @ sq @ centering)
-    b = (b + b.T) / 2.0  # kill rounding asymmetry before eigh
+    # the bits of np.eye(n) - np.full((n, n), 1.0 / n), built in one array
+    centering = np.full((n, n), -1.0 / n)
+    centering.flat[:: n + 1] = 1.0 - 1.0 / n
+    b = centering @ (d.values * d.values)
+    b = b @ centering
+    del centering
+    b *= -0.5
+    for i in range(n):  # kill rounding asymmetry before eigh, a row at a time
+        row = (b[i, i:] + b[i:, i]) / 2.0
+        b[i, i:] = row
+        b[i:, i] = row
     eigvals, eigvecs = np.linalg.eigh(b)
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]
@@ -339,18 +347,26 @@ def knn_graph(d: DistanceMatrix, k_neighbors: int) -> NeighborGraph:
         raise ValidationError(f"k_neighbors must be >= 1, got {k_neighbors}")
     n = d.size
     picked = np.zeros((n, n), dtype=bool)
-    picked[np.arange(n)[:, None], _neighbor_ranks(d)[:, :k_neighbors]] = True
+    picked[np.arange(n)[:, None], _neighbor_ranks(d, k_neighbors)] = True
     rows, cols = np.nonzero(picked | picked.T)  # row-major, so already CSR order
     weights = d.values[np.minimum(rows, cols), np.maximum(rows, cols)]
     return NeighborGraph._from_csr(d.labels, np.searchsorted(rows, np.arange(n + 1)), cols, weights)
 
 
-def _neighbor_ranks(d: DistanceMatrix) -> np.ndarray:
-    """Row i lists the other points nearest first, distance ties by index:
-    the stable order of row i of ``d`` with i itself skipped."""
+def _neighbor_ranks(d: DistanceMatrix, count: int) -> np.ndarray:
+    """Row i lists the ``count`` (at most n - 1) other points nearest first,
+    distance ties by index: the stable order of row i of ``d`` with i itself
+    skipped."""
     n = d.size
+    cols = min(count + 1, n)
     order = np.argsort(d.values, axis=1, kind="stable")
-    return order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+    if cols < n:
+        order = order[:, :cols].copy()  # frees the full sort
+    own = order == np.arange(n)[:, None]
+    # i falls past the first ``cols`` only behind that many lower-indexed
+    # points at distance 0; such a row drops its last column instead
+    own[~own.any(axis=1), -1] = True
+    return order[~own].reshape(n, cols - 1)
 
 
 def _root(parent: list[int], u: int) -> int:
@@ -380,7 +396,7 @@ def _connecting_k(d: DistanceMatrix) -> int:
     so every larger k connects too.
     """
     n = d.size
-    ranked = _neighbor_ranks(d)
+    ranked = _neighbor_ranks(d, n - 1)
     parent = list(range(n))
     parts = n
     for k in range(n - 1):
@@ -423,8 +439,9 @@ def geodesic_matrix(graph: NeighborGraph) -> DistanceMatrix:
             mat[:, s] = _dijkstra(adjacency, s, n)
     if not np.all(np.isfinite(mat)):
         raise _disconnected(graph)
-    lower = np.tril(mat, -1)
-    return DistanceMatrix(graph.labels, lower + lower.T)
+    for s in range(n - 1):  # mirror the lower triangle; the diagonal is already 0
+        mat[s, s + 1 :] = mat[s + 1 :, s]
+    return DistanceMatrix(graph.labels, mat)
 
 
 def _relax_blocks(graph: NeighborGraph, mat: np.ndarray) -> int:

@@ -326,7 +326,7 @@ class SparseActivationVector:
 
     def _bounds(self) -> list[int]:
         """Where each manifest layer's entries start in the flat arrays, then their end."""
-        return [*np.searchsorted(self._keys, self.manifest._starts).tolist(), self._keys.size]
+        return _key_bounds(self.manifest, self._keys)
 
     def layer(self, layer_id: str) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (indices, values) for one layer; empty arrays if silent."""
@@ -377,10 +377,15 @@ class SparseActivationVector:
         )
 
 
-def _layer_dots(manifest: LayerManifest, keys: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """The sum, in manifest order, of np.dot(x, y) over each layer's run of the
-    sorted flattened indices ``keys``; every sum over layers comes here."""
-    bounds = [*np.searchsorted(keys, manifest._starts).tolist(), keys.size]
+def _key_bounds(manifest: LayerManifest, keys: np.ndarray) -> list[int]:
+    """Where each manifest layer's run of the sorted flattened indices ``keys``
+    starts, then their end."""
+    return [*np.searchsorted(keys, manifest._starts).tolist(), keys.size]
+
+
+def _layer_dots(bounds: list[int], x: np.ndarray, y: np.ndarray) -> float:
+    """The sum, in manifest order, of np.dot(x, y) over each layer's run
+    between consecutive ``bounds``; every sum over layers comes here."""
     total = 0.0
     for lo, hi in zip(bounds, bounds[1:]):
         if lo < hi:
@@ -410,29 +415,30 @@ def _align(src_idx: np.ndarray, src_val: np.ndarray, dst_idx: np.ndarray) -> np.
 def dot(a: SparseActivationVector, b: SparseActivationVector) -> float:
     """Inner product over shared coordinates."""
     _require_same_manifest(a, b, "dot")  # a layer only a stores adds an exact 0.0
-    return _layer_dots(a.manifest, a._keys, a._values, _align(b._keys, b._values, a._keys))
+    return _layer_dots(a._bounds(), a._values, _align(b._keys, b._values, a._keys))
 
 
-def _scaled_sq(manifest: LayerManifest, keys: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """(scale, sum of squares of values / scale) of flat entries. A plain sum of
-    squares that is not a normal float is not the true one: the scale is then
-    the largest |value|, which brings the sum into [1, size], else 1.0."""
+def _scaled_sq(bounds: list[int], values: np.ndarray) -> tuple[float, float]:
+    """(scale, sum of squares of values / scale) of flat entries with layer
+    ``bounds``. A plain sum of squares that is not a normal float is not the
+    true one: the scale is then the largest |value|, which brings the sum
+    into [1, size], else 1.0."""
     with np.errstate(over="ignore"):  # an overflow is caught just below
-        sq = _layer_dots(manifest, keys, values, values)
+        sq = _layer_dots(bounds, values, values)
     if _TINY <= sq < np.inf or not values.any():
         return 1.0, sq
     scale = float(np.abs(values).max())
     values = values / scale
-    return scale, _layer_dots(manifest, keys, values, values)
+    return scale, _layer_dots(bounds, values, values)
 
 
 def _sq_norm(v: SparseActivationVector) -> float:
     with np.errstate(over="ignore"):  # callers check that the result is a normal float
-        return _layer_dots(v.manifest, v._keys, v._values, v._values)
+        return _layer_dots(v._bounds(), v._values, v._values)
 
 
 def l2_norm(v: SparseActivationVector) -> float:
-    scale, sq = _scaled_sq(v.manifest, v._keys, v._values)
+    scale, sq = _scaled_sq(v._bounds(), v._values)
     return scale * float(np.sqrt(sq))
 
 
@@ -459,7 +465,7 @@ def euclidean_distance(a: SparseActivationVector, b: SparseActivationVector) -> 
     _require_same_manifest(a, b, "euclidean_distance")
     keys = np.union1d(a._keys, b._keys)
     diff = _align(a._keys, a._values, keys) - _align(b._keys, b._values, keys)
-    scale, sq = _scaled_sq(a.manifest, keys, diff)
+    scale, sq = _scaled_sq(_key_bounds(a.manifest, keys), diff)
     return scale * float(np.sqrt(sq))
 
 
@@ -524,9 +530,9 @@ def apply_threshold(v: SparseActivationVector, t: float) -> SparseActivationVect
     return SparseActivationVector._trusted(v.manifest, v._keys[keep], v._values[keep])
 
 
-def _unit(manifest: LayerManifest, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The values of non-empty flat entries over their L2 norm."""
-    scale, sq = _scaled_sq(manifest, keys, values)
+def _unit(bounds: list[int], values: np.ndarray) -> np.ndarray:
+    """The values of non-empty flat entries with layer ``bounds`` over their L2 norm."""
+    scale, sq = _scaled_sq(bounds, values)
     return values / scale / float(np.sqrt(sq))
 
 
@@ -540,7 +546,7 @@ def normalize_by_layer(v: SparseActivationVector) -> SparseActivationVector:
     values = np.empty_like(v._values)
     for a, b in zip(bounds, bounds[1:]):
         if a < b:
-            values[a:b] = _unit(v.manifest, v._keys[a:b], v._values[a:b])
+            values[a:b] = _unit([0, b - a], v._values[a:b])  # one layer, one np.dot
     keep = values > 0  # an entry far below its layer's largest can round to 0
     return SparseActivationVector._trusted(v.manifest, v._keys[keep], values[keep])
 
@@ -549,7 +555,7 @@ def normalize_whole(v: SparseActivationVector) -> SparseActivationVector:
     """Rescale the full vector to unit L2 norm; the zero vector stays zero."""
     if v.is_zero:
         return v
-    values = _unit(v.manifest, v._keys, v._values)
+    values = _unit(v._bounds(), v._values)
     keep = values > 0  # an entry far below the largest can round to 0
     return SparseActivationVector._trusted(v.manifest, v._keys[keep], values[keep])
 

@@ -1001,6 +1001,36 @@ def test_distance_csv_numbers_file_lines_past_a_quoted_lf(tmp_path):
     assert str(err.value) == f"{p}:4: non-numeric cell"
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # rows past n are counted, never stored
+        ("0,1\n1,0\n1,1\n", "1: expected 2 rows, got 3"),
+        ("0,1\n1,0\n1,1\n1,1\n1,1\n", "1: expected 2 rows, got 5"),
+        ("0,1\n", "1: expected 2 rows, got 1"),
+        ("0,1\nx,0\n", "3: non-numeric cell"),
+        # a row past n is still read, so its bad cell comes before the count
+        ("0,1\n1,0\n1,x\n", "4: non-numeric cell"),
+    ],
+    ids=["one-extra-row", "three-extra-rows", "missing-row", "non-numeric", "non-numeric-extra-row"],
+)
+def test_distance_csv_row_count_and_cells(tmp_path, body, message):
+    p = write(tmp_path / "d.csv", "a,b\n" + body)
+    with pytest.raises(FormatError) as err:
+        cvio.load_distance_matrix_csv(p)
+    assert str(err.value) == f"{p}:{message}"
+
+
+def test_distance_csv_wide_header_fails_at_its_short_row(tmp_path):
+    # a 100,000-label header must not make the loader ask for an n x n
+    # array (74.5 GiB) before the short row below it is read
+    header = ",".join(f"c{i}" for i in range(100_000))
+    p = write(tmp_path / "d.csv", header + "\n0,1\n")
+    with pytest.raises(FormatError) as err:
+        cvio.load_distance_matrix_csv(p)
+    assert str(err.value) == f"{p}:2: expected 100000 cells, got 2"
+
+
 def cell_by_cell_distance_csv(matrix):
     """Oracle: the mirrored matrix as csv.writer writes f"{v:.9g}" cells, one call per cell."""
     buf = io.StringIO()

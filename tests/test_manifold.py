@@ -1,6 +1,7 @@
 """Manifold maps: MDS recovery, k-NN graphs, geodesics vs dense relaxation."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classvec import io as cvio
 from classvec import manifold
 from classvec.errors import DisconnectedGraphError, ValidationError
 from classvec.manifold import (
@@ -211,6 +213,23 @@ class TestNeighborGraph:
         g = knn_graph(d, 10)
         assert g.edge_count() == 3  # complete graph on 3 nodes
 
+    def test_ranks_skip_self_behind_coincident_points(self):
+        # many points at distance 0 sort ahead of i when their index is lower,
+        # so i can fall past the first k + 1 columns of the stable sort
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            n = int(rng.integers(2, 14))
+            xs = rng.integers(0, 3, size=n).astype(float)  # few distinct places
+            d = euclidean_dmatrix(xs[:, None])
+            k = int(rng.integers(1, n + 2))
+            want = set()
+            for i in range(n):
+                order = [j for j in np.argsort(d.values[i], kind="stable").tolist() if j != i]
+                want |= {(i, j) for j in order[:k]} | {(j, i) for j in order[:k]}
+            got = knn_graph(d, k).adjacency
+            assert {(i, j) for i, row in enumerate(got) for j, _ in row} == want
+            assert all(w == d.values[i, j] for i, row in enumerate(got) for j, w in row)
+
 
 class TestGeodesics:
     def test_matches_dense_relaxation_oracle(self):
@@ -353,3 +372,54 @@ class TestIsomap:
         emb = isomap(d, k_neighbors=1, dims=1)
         got = emb.pairwise_distances()
         assert np.max(np.abs(got - d.values)) <= 1e-9
+
+
+# -- memory ------------------------------------------------------------------------
+
+MEMORY_N = 400
+
+
+@pytest.fixture(scope="module")
+def square_inputs(tmp_path_factory):
+    """A MEMORY_N-point 5-D cloud's distances, their k=10 graph and CSV file."""
+    pts = np.random.default_rng(5).random((MEMORY_N, 5))
+    values = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    labels = [f"c{i:03d}" for i in range(MEMORY_N)]
+    d = DistanceMatrix(labels, values)
+    path = tmp_path_factory.mktemp("memory") / "d.csv"
+    cvio.write_distance_matrix_csv(d, path)
+    return {"labels": labels, "values": values, "d": d, "graph": knn_graph(d, 10), "csv": path}
+
+
+# The stages and the n x n float64 arrays each may hold at its peak, its result
+# included; a bool array is 1/8 and an intp array 1 of them.
+SQUARE_ARRAY_BOUNDS = [
+    # the array its rows fill, doubling as they come, and DistanceMatrix's copy
+    pytest.param(lambda x: cvio.load_distance_matrix_csv(x["csv"]), 2.5, id="load-csv"),
+    # its owned copy and the bool masks of its checks
+    pytest.param(lambda x: DistanceMatrix(x["labels"], x["values"]), 1.5, id="distance-matrix"),
+    # the full stable argsort of the rows, dropped for its first k + 1 columns
+    pytest.param(lambda x: knn_graph(x["d"], 10), 1.5, id="knn-graph"),
+    # the filled matrix and DistanceMatrix's copy
+    pytest.param(lambda x: geodesic_matrix(x["graph"]), 2.5, id="geodesic-matrix"),
+    # centering, B and the product of the second matmul
+    pytest.param(lambda x: classical_mds(x["d"], 2), 3.5, id="classical-mds"),
+    # the geodesic matrix plus classical_mds's three
+    pytest.param(lambda x: isomap(x["d"], 10, 2), 4.5, id="isomap"),
+]
+
+
+@pytest.mark.parametrize("stage, arrays", SQUARE_ARRAY_BOUNDS)
+def test_distance_stages_hold_few_square_arrays(square_inputs, stage, arrays):
+    """NumPy reports its array buffers to tracemalloc, so the traced peak
+    counts the n x n temporaries. The workspace that np.linalg.eigh allocates
+    inside LAPACK is not traced, so this does not bound classical_mds's and
+    isomap's memory during the eigendecomposition itself."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        stage(square_inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (MEMORY_N * MEMORY_N * 8) <= arrays

@@ -355,6 +355,16 @@ class TestOperations:
                 assert float(np.sqrt(val @ val)) == pytest.approx(1.0, abs=1e-12)
             assert n.stored_layers == v.stored_layers
 
+    def test_normalize_by_layer_sums_each_layer_alone(self):
+        # one np.dot per stored layer: a search over every layer per layer is O(L^2)
+        m = LayerManifest([(f"L{i}", "g", 4) for i in range(300)])
+        v = SparseActivationVector(m, {f"L{i}": ([i % 4], [1.0 + i]) for i in range(0, 300, 2)})
+        with mock.patch.object(vectors, "_layer_dots", wraps=vectors._layer_dots) as dots:
+            n = normalize_by_layer(v)
+        assert [len(c.args[0]) for c in dots.call_args_list] == [2] * 150
+        assert n.stored_layers == v.stored_layers
+        assert all(n.layer(lid)[1].tolist() == [1.0] for lid in n.stored_layers)
+
     def test_normalize_whole_unit_norm(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
