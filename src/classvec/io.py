@@ -28,22 +28,22 @@ layer, value a Python float that is finite and >= 0, and no (layer, index)
 repeats within a line. Triplets may come in any order; writers emit them in
 manifest order, indices ascending, zeros left out.
 
-Triplet fields are read a batch of lines at a time: the fields of
-consecutive lines, up to _BATCH_TRIPLETS triplets in all (a longer line is a
-batch alone), go to one call of NumPy's C text reader (np.loadtxt), one
-triplet to a row, with no Python object made per field. A batch is taken
-whole when it has no fault, the reader reads it as int() and float() would,
-and each line holds its indices ascending and no zeros, as the writers write
-them. Any other batch is read again line by line: in bulk where the reader
-takes the line, else one triplet at a time by a walk, which names the first
-fault. So a FormatError's message and line do not depend on which read a
-line took, and faults keep line order: a fault met while a batch fills is
-raised only after the batch's earlier lines are yielded.
+Triplet fields are read by two paths. A batch of lines, up to _BATCH_TRIPLETS
+triplets in all (a longer line is a batch alone), goes to one call of NumPy's C
+text reader (np.loadtxt), one triplet to a row, and is taken whole when it has
+no fault and the reader reads it as int() and float() would, whatever the
+order of a line's triplets: a line as the writers write it keeps its slices of
+the batch's arrays, any other is sorted and its zeros dropped. Any other
+batch, one that repeats an index within a line included, is read again a line
+at a time by a walk over its triplets, which names the first fault. So a
+FormatError's message and line do not depend on the path, and faults keep line
+order: a fault met while a batch fills is raised after its earlier lines.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import html
 import warnings
 from io import StringIO
@@ -58,7 +58,7 @@ from .errors import FormatError, ValidationError
 from .manifold import DistanceMatrix, EmbeddingCoordinates
 from .pipeline import ClassEmbedding
 from .taxonomy import Taxonomy
-from .vectors import LayerManifest, SparseActivationVector
+from .vectors import LayerManifest, SparseActivationVector, _lock
 
 
 class ActivationRecord(NamedTuple):
@@ -210,6 +210,15 @@ def write_manifest(manifest: LayerManifest, path) -> None:
 _BATCH_TRIPLETS = 4096
 
 
+@functools.lru_cache(maxsize=16)
+def _reader_form(manifest: LayerManifest) -> tuple[np.dtype, np.ndarray]:
+    """The text reader's row for the manifest's triplets and its layer dims, read-only as calls
+    share them. The layer field is one character wider than any id, so a cut id matches none."""
+    width = max(len(spec.layer_id) for spec in manifest) + 1
+    row = np.dtype([("layer", f"U{width}"), ("index", np.int64), ("value", np.float64)])
+    return row, _lock(np.array([spec.dim for spec in manifest], dtype=np.int64))
+
+
 def _bulk_triplets(payloads: list[str], manifest: LayerManifest):
     """The (positions, indices, values) arrays of non-empty triplet fields, one
     after another, read by NumPy's C text reader one triplet to a row, or None
@@ -230,13 +239,14 @@ def _bulk_triplets(payloads: list[str], manifest: LayerManifest):
     tokens = payload.split(" ")
     if "" in tokens:
         return None
+    row, dims = _reader_form(manifest)
     try:
         # From NumPy 1.23 a reader that still reads a float such as "1.5" in the index
         # column, as the index 1, warns that this is deprecated; as an error, the line
         # goes to the walk, which refuses it.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(tokens, delimiter=":", dtype=manifest._triplet_row, comments=None, ndmin=1)
+            rows = np.loadtxt(tokens, delimiter=":", dtype=row, comments=None, ndmin=1)
     except (ValueError, DeprecationWarning):  # not three fields, or a number it refuses
         return None
     # the guards above leave no blank row for the reader to skip; a reader that skips
@@ -253,7 +263,7 @@ def _bulk_triplets(payloads: list[str], manifest: LayerManifest):
     pos = np.repeat(np.array(heads, dtype=np.intp), np.diff(starts, append=len(rows)))
     idx, val = rows["index"], rows["value"]
     # ~(val >= 0) holds for nan too
-    bad = (idx < 0) | (idx >= manifest._dims[pos]) | ~(val >= 0) | (val == np.inf)
+    bad = (idx < 0) | (idx >= dims[pos]) | ~(val >= 0) | (val == np.inf)
     # val is copied: a vector may keep it, and a view would keep every row alive
     return None if bad.any() else (pos, idx, val.copy())
 
@@ -285,19 +295,12 @@ def _walk_triplets(path, lineno: int, payload: str, manifest: LayerManifest):
     return np.array(pos, dtype=np.intp), np.array(ints, dtype=np.int64), np.array(reals)
 
 
-def _parse_triplets(
-    path, lineno: int, payload: str, manifest: LayerManifest
-) -> SparseActivationVector:
-    """One line's triplet field as a vector: checked in bulk or, for a line the bulk
-    pass does not take, by the walk, which names the first faulty triplet. A
-    repeated index is reported only when no triplet has any other fault."""
+def _parse_triplets(path, lineno: int, payload: str, manifest: LayerManifest) -> SparseActivationVector:
+    """One line's triplet field as a vector, read by the walk, which names the first faulty
+    triplet, or a repeated index when no triplet has any other fault."""
     if not payload:
         return SparseActivationVector.empty(manifest)
-    # The bulk pass's strings are freed before the vector's long-lived arrays are
-    # made, which would pin half-empty allocator arenas among them (10 MB at 200 classes).
-    entries = _bulk_triplets([payload], manifest)
-    if entries is None:
-        entries = _walk_triplets(path, lineno, payload, manifest)
+    entries = _walk_triplets(path, lineno, payload, manifest)
     try:
         return SparseActivationVector._from_checked(manifest, *entries)
     except ValidationError as exc:  # a repeated index
@@ -305,34 +308,35 @@ def _parse_triplets(
 
 
 def _batch_vectors(fields: list[str], ends: list[int], manifest: LayerManifest):
-    """The vectors of non-empty triplet fields, whose triplets end where ``ends``
-    says, read in one bulk pass; or None unless every field is read whole and
-    holds keys that strictly increase and values > 0, as the writers write them."""
+    """The vectors of non-empty triplet fields, whose triplets end where ``ends`` says, read
+    in one bulk pass, or None for fields it does not take whole or that repeat an index. A
+    field as the writers write it keeps its slices of the pass's arrays; any other is sorted."""
     entries = _bulk_triplets(fields, manifest)
     if entries is None:
         return None
     pos, idx, val = entries
     keys = manifest._starts[pos] + idx  # the flattened index
-    rises = keys[1:] > keys[:-1]
-    rises[[end - 1 for end in ends[:-1]]] = True  # a field's first key is not compared
-    if not (rises.all() and (val > 0).all()):
+    starts = [0, *ends[:-1]]
+    rises = np.concatenate(([True], keys[1:] > keys[:-1]))
+    rises[starts] = True  # a field's first key is not compared
+    written = np.logical_and.reduceat(rises & (val > 0), starts).tolist()
+    try:
+        return [
+            SparseActivationVector._trusted(manifest, keys[span], val[span]) if as_written
+            else SparseActivationVector._from_checked(manifest, pos[span], idx[span], val[span])
+            for as_written, span in zip(written, map(slice, starts, ends))
+        ]
+    except ValidationError:  # a repeated index
         return None
-    return [
-        SparseActivationVector._trusted(manifest, keys[start:end], val[start:end])
-        for start, end in zip([0, *ends], ends)
-    ]
 
 
 def _read_batch(path, manifest: LayerManifest, batch: list[tuple], ends: list[int]) -> Iterator[tuple]:
-    """(item, vector) of each (line number, triplet field, item) of a batch, in
-    order: read in bulk or, for a batch the bulk pass does not take whole, line
-    by line through _parse_triplets, which names the first faulty line."""
+    """(item, vector) of each (line number, triplet field, item) of a batch, in order: read
+    in one bulk pass or, where _batch_vectors declines, line by line by _parse_triplets."""
     fields = [payload for _, payload, _ in batch if payload]
     vectors = _batch_vectors(fields, ends, manifest) if fields else []
-    if vectors is None:
-        for lineno, payload, item in batch:
-            yield item, _parse_triplets(path, lineno, payload, manifest)
-        return
+    if vectors is None:  # read lazily, so a fault comes after the lines before it
+        vectors = (_parse_triplets(path, lineno, field, manifest) for lineno, field, _ in batch if field)
     vectors = iter(vectors)
     for _, payload, item in batch:
         yield item, next(vectors) if payload else SparseActivationVector.empty(manifest)

@@ -386,10 +386,14 @@ def _measure_matrix(
         return res
     own = np.array([ic.ic(s) for s in synsets])
     ic_sum = own[:, None] + own[None, :]
+    # lin's zeros are chosen first; then res holds the formula's steps in place
+    zeros = (res == 0.0) | np.isinf(ic_sum) if measure == "lin" else None
+    res *= 2.0
     # inf - inf and inf / inf give nan here exactly as in the scalar code
     with np.errstate(divide="ignore", invalid="ignore"):
         if measure == "jcn":
-            return 1.0 / np.maximum(ic_sum - 2.0 * res, JCN_MIN_DISTANCE)
-        lin = 2.0 * res / ic_sum
-    lin[(res == 0.0) | np.isinf(ic_sum)] = 0.0
-    return lin
+            np.maximum(np.subtract(ic_sum, res, out=res), JCN_MIN_DISTANCE, out=res)
+            return np.divide(1.0, res, out=res)
+        res /= ic_sum
+    res[zeros] = 0.0
+    return res

@@ -43,9 +43,7 @@ class LayerManifest:
     of (layer, i) is offset_of(layer) + i.
     """
 
-    __slots__ = (
-        "_layers", "_position", "_dims", "_starts", "_triplet_row", "_total_dim", "_groups", "_digest"
-    )
+    __slots__ = ("_layers", "_position", "_starts", "_total_dim", "_groups", "_digest")
 
     def __init__(self, layers: Iterable[tuple[str, str, int]]):
         specs = tuple(LayerSpec(str(lid), str(grp), int(dim)) for lid, grp, dim in layers)
@@ -67,13 +65,7 @@ class LayerManifest:
                 groups.append(spec.group)
         self._layers = specs
         self._position = position
-        # by manifest position: _starts for offset_of and flat entries, _dims for the io triplet parser
-        self._dims = _lock(np.array([spec.dim for spec in specs], dtype=np.int64))
-        self._starts = _lock(np.array(starts, dtype=np.int64))
-        # a row of the io triplet reader: its layer field is one character wider than
-        # any layer id here, so an id that the reader cuts to this width matches none
-        width = max(len(spec.layer_id) for spec in specs) + 1
-        self._triplet_row = np.dtype([("layer", f"U{width}"), ("index", np.int64), ("value", np.float64)])
+        self._starts = _lock(np.array(starts, dtype=np.int64))  # by manifest position
         self._total_dim = total
         self._groups = tuple(groups)
         payload = "\n".join(f"{s.layer_id}\t{s.group}\t{s.dim}" for s in specs)
@@ -230,10 +222,10 @@ def _flat_entries(
     if not idx.size:
         return _EMPTY_KEYS, _EMPTY_VALUES
     key = manifest._starts[pos] + idx  # the flattened index
-    if not np.all(key[1:] > key[:-1]):
-        order = np.argsort(key, kind="stable")
+    if not (key[1:] > key[:-1]).all():
+        order = key.argsort(kind="stable")
         key = key[order]
-        if np.any(key[1:] == key[:-1]):
+        if (key[1:] == key[:-1]).any():
             raise _first_fault(manifest, pos, idx, val)
         val = val[order]
     keep = val > 0  # explicit zeros are never stored

@@ -430,17 +430,13 @@ def triplet_fields(draw):
     return " ".join(tokens)
 
 
-@pytest.mark.parametrize("walk_only", [False, True], ids=["bulk", "walk-only"])
 @settings(max_examples=200)
 @given(payload=triplet_fields())
 @example(payload=" ")
 @example(payload="   ")
-def test_triplet_fields_match_per_token_reference(walk_only, payload):
+def test_triplet_fields_match_per_token_reference(payload):
     want = reference_parse_triplets(WALK_MANIFEST, payload)
-    with ExitStack() as stack:
-        if walk_only:
-            stack.enter_context(mock.patch.object(cvio, "_bulk_triplets", return_value=None))
-        walk = stack.enter_context(mock.patch.object(cvio, "_walk_triplets", wraps=cvio._walk_triplets))
+    with mock.patch.object(cvio, "_walk_triplets", wraps=cvio._walk_triplets) as walk:
         # called directly, as both loaders call it, so that the field may hold a tab or CR
         if isinstance(want, str):
             with pytest.raises(FormatError) as err:
@@ -448,15 +444,7 @@ def test_triplet_fields_match_per_token_reference(walk_only, payload):
             assert str(err.value) == f"a.tsv:1: {want}"
         else:
             assert cvio._parse_triplets("a.tsv", 1, payload, WALK_MANIFEST) == want
-    # a printable line of layer ids without ':' and of spellings that the text reader
-    # reads as int() and float() do, which only repeats an index if anything, is taken in bulk
-    in_bulk = (
-        payload.isprintable()
-        and "x:y" not in payload
-        and "_" not in payload
-        and (not isinstance(want, str) or "duplicate" in want)
-    )
-    assert walk.called == (bool(payload) and (walk_only or not in_bulk))
+    assert walk.called == bool(payload)
 
 
 @pytest.mark.parametrize(
@@ -607,16 +595,27 @@ def test_fields_as_the_writers_write_them_are_read_one_batch_at_a_time(tmp_path,
         cvio.write_activations([cvio.ActivationRecord(f"i{k}", "c", v) for k, v in enumerate(vectors)], p)
     else:
         cvio.write_class_embeddings([ClassEmbedding(f"c{k}", "s", v, 1) for k, v in enumerate(vectors)], p)
+    # the same lines with their triplets reversed, and an explicit zero in the middle
+    # of line 2, which stays the zero vector, and of line 5, a batch alone
+    lines = []
+    for k, line in enumerate(p.read_text(encoding="utf-8").splitlines()):
+        head, field = line.rsplit("\t", 1)
+        tokens = field.split(" ")[::-1] if field else []
+        if k in (1, 4):
+            tokens.insert(len(tokens) // 2, "c1:1:0.0")
+        lines.append(f"{head}\t{' '.join(tokens)}\n")
+    unwritten = write(tmp_path / "g.tsv", "".join(lines))
     load, _ = LOADERS[loader]
-    with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(cvio, "_BATCH_TRIPLETS", 7))
-        loadtxt = stack.enter_context(mock.patch.object(cvio.np, "loadtxt", wraps=np.loadtxt))
-        per_line = stack.enter_context(mock.patch.object(cvio, "_parse_triplets"))
-        got = [r.vector for r in load(p, m)]
-    assert got == vectors
-    # lines 1-3 (6 triplets), line 4, line 5 (10, longer than a batch) and line 6
-    assert loadtxt.call_count == 4
-    assert not per_line.called
+    for path in (p, unwritten):
+        with ExitStack() as stack:
+            stack.enter_context(mock.patch.object(cvio, "_BATCH_TRIPLETS", 7))
+            loadtxt = stack.enter_context(mock.patch.object(cvio.np, "loadtxt", wraps=np.loadtxt))
+            walk = stack.enter_context(mock.patch.object(cvio, "_walk_triplets"))
+            got = [r.vector for r in load(path, m)]
+        assert got == vectors
+        # lines 1-3 (6 or 7 triplets), line 4, line 5 (10 or 11, longer than a batch) and line 6
+        assert loadtxt.call_count == 4
+        assert not walk.called
 
 
 @pytest.mark.parametrize("fault", ["i3\tc0\ta1:3\n", "i3\tc0\ta1:3:1.0\r\n"], ids=["malformed", "crlf"])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +344,29 @@ class TestSimilarityMatrices:
         assert similarity(zoo, "res", "dog", "car", ic=partial) == 0.0
         (res,) = similarity_matrices(zoo, ["dog", "car"], [("res", partial)])
         assert res[0, 1] == 0.0
+
+    MEMORY_N = 400
+
+    # jcn and lin hold res, ic_sum and the two int32 pair tables (together one
+    # float64 array); lin adds its bool mask of zeros, 3/8 of an array
+    @pytest.mark.parametrize("measure, arrays", [("jcn", 3.5), ("lin", 3.5)])
+    def test_ic_measures_hold_few_square_arrays(self, measure, arrays):
+        """The traced peak above the start, the result and the pair tables
+        included, in n x n float64 arrays, as in test_manifold's memory test."""
+        n = self.MEMORY_N
+        rng = np.random.default_rng(5)
+        t = Taxonomy(random_tree_edges(rng, n))
+        # zero counts leave whole subtrees at infinite ic
+        ic = ICTable.from_counts(t, {s: int(c) for s, c in zip(t.synsets, rng.integers(0, 50, n))})
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            (matrix,) = similarity_matrices(t, t.synsets, [(measure, ic)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (n, n)
+        assert (peak - start) / (n * n * 8) <= arrays
 
 
 class TestRandomDagEdges:
