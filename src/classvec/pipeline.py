@@ -27,6 +27,7 @@ from .vectors import (  # noqa: F401
     LayerManifest,
     SparseActivationVector,
     _sq_norm,
+    _sums,
     apply_threshold,
     cosine_similarity,
     euclidean_distance,
@@ -151,20 +152,16 @@ def aggregate(images: Sequence[SparseActivationVector], mode: str) -> SparseActi
     constant = (counts == n) & (lo == hi)
 
     inv_n = 1.0 / n
-    acc = np.zeros(uniq.size)
     if mode == "arithmetic":
-        np.add.at(acc, inverse, values)
-        mean = acc * inv_n
+        mean = _sums(values, inverse, uniq.size) * inv_n
         keep = np.ones(uniq.size, dtype=bool)
     elif mode == "geometric":
         # in log space: the product of many images' values under- or overflows
-        np.add.at(acc, inverse, np.log(values))
-        mean = np.exp(acc * inv_n)
+        mean = np.exp(_sums(np.log(values), inverse, uniq.size) * inv_n)
         keep = counts == n
     else:
-        np.add.at(acc, inverse, 1.0 / values)
         with np.errstate(divide="ignore"):
-            mean = n / acc
+            mean = n / _sums(1.0 / values, inverse, uniq.size)
         keep = counts == n
     mean = np.where(constant, lo, mean)
 
@@ -281,7 +278,7 @@ def build_distance_matrix(
         raise ValidationError("duplicate class_id among embeddings")
     vectors = [e.vector for e in embeddings]
     n = len(vectors)
-    extreme = [not _SQ_LO <= _sq_norm(v) < _SQ_HI for v in vectors]
+    extreme = [not _SQ_LO <= _sq_norm(v._values) < _SQ_HI for v in vectors]
     if metric == "cosine":
         vectors = [normalize_whole(v) if out else v for v, out in zip(vectors, extreme)]
     elif any(out and not v.is_zero for v, out in zip(vectors, extreme)):

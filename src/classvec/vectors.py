@@ -5,13 +5,14 @@ layers, each carrying a group tag and a dimension. A vector stores its
 entries once, as two flat arrays sorted by flattened index (offset_of(layer)
 + i), so each layer's entries are one contiguous run and the layers come in
 manifest order. Elementwise operations (subtract, apply_threshold,
-normalize_whole, restrict_to_groups) work on the flat arrays; dot, the
-norms, cosine and euclidean_distance add one np.dot per layer, in manifest
-order, through one helper, and normalize_by_layer takes one norm per stored
-layer. Binary operations are linear merges over the stored entries and never
-touch absent coordinates; layer_blocks packs many vectors into dense
-per-layer blocks for all-pairs work. Vectors are immutable after construction; all operations return new
-vectors and are safe to call concurrently.
+normalize_whole, restrict_to_groups) work on the flat arrays. Every sum over
+stored entries (dot, the norms, cosine, euclidean_distance, both
+normalizations) goes through _sums, one np.bincount that adds its terms left
+to right in ascending flattened index and calls no BLAS. Binary operations
+are linear merges over the stored entries and never touch absent
+coordinates; layer_blocks packs many vectors into dense per-layer blocks for
+all-pairs work. Vectors are immutable after construction; all operations
+return new vectors and are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ class SparseActivationVector:
 
     def _bounds(self) -> list[int]:
         """Where each manifest layer's entries start in the flat arrays, then their end."""
-        return _key_bounds(self.manifest, self._keys)
+        return [*np.searchsorted(self._keys, self.manifest._starts).tolist(), self._keys.size]
 
     def layer(self, layer_id: str) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (indices, values) for one layer; empty arrays if silent."""
@@ -369,20 +370,15 @@ class SparseActivationVector:
         )
 
 
-def _key_bounds(manifest: LayerManifest, keys: np.ndarray) -> list[int]:
-    """Where each manifest layer's run of the sorted flattened indices ``keys``
-    starts, then their end."""
-    return [*np.searchsorted(keys, manifest._starts).tolist(), keys.size]
-
-
-def _layer_dots(bounds: list[int], x: np.ndarray, y: np.ndarray) -> float:
-    """The sum, in manifest order, of np.dot(x, y) over each layer's run
-    between consecutive ``bounds``; every sum over layers comes here."""
-    total = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo < hi:
-            total += float(np.dot(x[lo:hi], y[lo:hi]))
-    return total
+def _sums(terms: np.ndarray, groups: np.ndarray | None = None, k: int = 1) -> np.ndarray:
+    """The sum of ``terms`` in each of k groups (all in group 0 when ``groups``
+    is None). np.bincount adds each group's terms one after another in input
+    order and calls no BLAS, so the bits do not depend on the thread count;
+    every sum over stored entries comes here, with its terms in ascending
+    flattened index."""
+    if groups is None:
+        groups = np.zeros(terms.size, dtype=np.intp)
+    return np.bincount(groups, weights=terms, minlength=k)
 
 
 def _require_same_manifest(a: SparseActivationVector, b: SparseActivationVector, op: str):
@@ -406,32 +402,43 @@ def _align(src_idx: np.ndarray, src_val: np.ndarray, dst_idx: np.ndarray) -> np.
 
 def dot(a: SparseActivationVector, b: SparseActivationVector) -> float:
     """Inner product over shared coordinates."""
-    _require_same_manifest(a, b, "dot")  # a layer only a stores adds an exact 0.0
-    return _layer_dots(a._bounds(), a._values, _align(b._keys, b._values, a._keys))
+    _require_same_manifest(a, b, "dot")  # an entry only a stores adds an exact 0.0
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, as a sum of squares is
+        return float(_sums(a._values * _align(b._keys, b._values, a._keys))[0])
 
 
-def _scaled_sq(bounds: list[int], values: np.ndarray) -> tuple[float, float]:
-    """(scale, sum of squares of values / scale) of flat entries with layer
-    ``bounds``. A plain sum of squares that is not a normal float is not the
-    true one: the scale is then the largest |value|, which brings the sum
-    into [1, size], else 1.0."""
+def _sq_norm(values: np.ndarray) -> float:
+    """The plain sum of squares of flat values; callers check that it is a normal float."""
+    with np.errstate(over="ignore"):
+        return float(_sums(values * values)[0])
+
+
+def _scaled_sq(values: np.ndarray, groups: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, sum of squares of values / scale) for each of k groups of flat
+    values. A plain sum of squares that is not a normal float is not the
+    true one: that group's scale is then its largest |value|, which brings
+    its sum into [1, size], else 1.0."""
     with np.errstate(over="ignore"):  # an overflow is caught just below
-        sq = _layer_dots(bounds, values, values)
-    if _TINY <= sq < np.inf or not values.any():
-        return 1.0, sq
-    scale = float(np.abs(values).max())
-    values = values / scale
-    return scale, _layer_dots(bounds, values, values)
+        sq = _sums(values * values, groups, k)
+    scale = np.ones(k)
+    redo = ~((_TINY <= sq) & (sq < np.inf))[groups] & (values != 0)
+    if redo.any():
+        g, x = groups[redo], np.abs(values[redo])
+        scale[g] = 0.0
+        np.maximum.at(scale, g, x)
+        x = x / scale[g]  # an entry left out is 0 and adds nothing
+        sq[g] = _sums(x * x, g, k)[g]
+    return scale, sq
 
 
-def _sq_norm(v: SparseActivationVector) -> float:
-    with np.errstate(over="ignore"):  # callers check that the result is a normal float
-        return _layer_dots(v._bounds(), v._values, v._values)
+def _norm(values: np.ndarray) -> float:
+    """The L2 norm of flat values, at any scale."""
+    scale, sq = _scaled_sq(values, np.zeros(values.size, dtype=np.intp), 1)
+    return float(scale[0] * np.sqrt(sq[0]))
 
 
 def l2_norm(v: SparseActivationVector) -> float:
-    scale, sq = _scaled_sq(v._bounds(), v._values)
-    return scale * float(np.sqrt(sq))
+    return _norm(v._values)
 
 
 def cosine_similarity(a: SparseActivationVector, b: SparseActivationVector) -> float:
@@ -445,10 +452,10 @@ def cosine_similarity(a: SparseActivationVector, b: SparseActivationVector) -> f
     _require_same_manifest(a, b, "cosine_similarity")
     if a.is_zero or b.is_zero:
         raise ZeroVectorError("undefined cosine for zero vector")
-    sq_a, sq_b = _sq_norm(a), _sq_norm(b)
+    sq_a, sq_b = _sq_norm(a._values), _sq_norm(b._values)
     if not all(_TINY <= sq < np.inf for sq in (sq_a, sq_b, sq_a * sq_b)):
         a, b = normalize_whole(a), normalize_whole(b)
-        sq_a, sq_b = _sq_norm(a), _sq_norm(b)
+        sq_a, sq_b = _sq_norm(a._values), _sq_norm(b._values)
     return min(1.0, dot(a, b) / float(np.sqrt(sq_a * sq_b)))
 
 
@@ -456,9 +463,7 @@ def euclidean_distance(a: SparseActivationVector, b: SparseActivationVector) -> 
     """L2 distance of the true (unclamped) difference, over the union of both supports."""
     _require_same_manifest(a, b, "euclidean_distance")
     keys = np.union1d(a._keys, b._keys)
-    diff = _align(a._keys, a._values, keys) - _align(b._keys, b._values, keys)
-    scale, sq = _scaled_sq(_key_bounds(a.manifest, keys), diff)
-    return scale * float(np.sqrt(sq))
+    return _norm(_align(a._keys, a._values, keys) - _align(b._keys, b._values, keys))
 
 
 # Cells in one block of layer_blocks (16 MB of float64), whatever the vector count.
@@ -522,10 +527,12 @@ def apply_threshold(v: SparseActivationVector, t: float) -> SparseActivationVect
     return SparseActivationVector._trusted(v.manifest, v._keys[keep], v._values[keep])
 
 
-def _unit(bounds: list[int], values: np.ndarray) -> np.ndarray:
-    """The values of non-empty flat entries with layer ``bounds`` over their L2 norm."""
-    scale, sq = _scaled_sq(bounds, values)
-    return values / scale / float(np.sqrt(sq))
+def _unit(v: SparseActivationVector, groups: np.ndarray, k: int) -> SparseActivationVector:
+    """v with each of k groups of its entries over that group's L2 norm."""
+    scale, sq = _scaled_sq(v._values, groups, k)
+    values = v._values / scale[groups] / np.sqrt(sq)[groups]
+    keep = values > 0  # an entry far below its group's largest can round to 0
+    return SparseActivationVector._trusted(v.manifest, v._keys[keep], values[keep])
 
 
 def normalize_by_layer(v: SparseActivationVector) -> SparseActivationVector:
@@ -534,22 +541,15 @@ def normalize_by_layer(v: SparseActivationVector) -> SparseActivationVector:
     Silent (all-zero) layers stay silent rather than raising: sparse class
     vectors legitimately have layers with no activation at all.
     """
-    bounds = v._bounds()
-    values = np.empty_like(v._values)
-    for a, b in zip(bounds, bounds[1:]):
-        if a < b:
-            values[a:b] = _unit([0, b - a], v._values[a:b])  # one layer, one np.dot
-    keep = values > 0  # an entry far below its layer's largest can round to 0
-    return SparseActivationVector._trusted(v.manifest, v._keys[keep], values[keep])
+    layer = np.searchsorted(v.manifest._starts, v._keys, side="right") - 1
+    return _unit(v, layer, len(v.manifest))
 
 
 def normalize_whole(v: SparseActivationVector) -> SparseActivationVector:
     """Rescale the full vector to unit L2 norm; the zero vector stays zero."""
     if v.is_zero:
         return v
-    values = _unit(v._bounds(), v._values)
-    keep = values > 0  # an entry far below the largest can round to 0
-    return SparseActivationVector._trusted(v.manifest, v._keys[keep], values[keep])
+    return _unit(v, np.zeros(v.nnz, dtype=np.intp), 1)
 
 
 def restrict_to_groups(v: SparseActivationVector, groups: Iterable[str]) -> SparseActivationVector:

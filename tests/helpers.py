@@ -83,21 +83,27 @@ def twelve_layer_vectors(seed: int, n: int) -> list[SparseActivationVector]:
     return out
 
 
-def reference_dot(a: SparseActivationVector, b: SparseActivationVector) -> float:
-    """dot layer by layer, through the public layer() API: over each layer
-    both vectors store, in manifest order, np.dot of a's values with b's
-    values at a's indices (0 where b has none). The bitwise reference for
-    dot, the norms and cosine."""
+def flat_entries(v: SparseActivationVector) -> dict[int, float]:
+    """A vector's entries as {flattened index: value}, in ascending flattened
+    index, read through the public iter_entries() API."""
+    m = v.manifest
+    return dict(sorted((m.offset_of(lid) + i, val) for lid, i, val in v.iter_entries()))
+
+
+def left_to_right_sum(terms) -> float:
+    """Python floats added one after another, in the order given."""
     total = 0.0
-    for lid in a.manifest.layer_ids:
-        ai, av = a.layer(lid)
-        bi, bv = b.layer(lid)
-        if ai.size and bi.size:
-            b_at_a = np.zeros(ai.size)
-            _, at_a, at_b = np.intersect1d(ai, bi, assume_unique=True, return_indices=True)
-            b_at_a[at_a] = bv[at_b]
-            total += float(np.dot(av, b_at_a))
+    for term in terms:
+        total += term
     return total
+
+
+def reference_dot(a: SparseActivationVector, b: SparseActivationVector) -> float:
+    """dot as a pure-Python float sum: the products over the coordinates both
+    vectors store, added left to right in ascending flattened index. The
+    bitwise reference for dot, the norms and cosine."""
+    b_at = flat_entries(b)
+    return left_to_right_sum(x * b_at[k] for k, x in flat_entries(a).items() if k in b_at)
 
 
 def reference_parse_triplets(manifest: LayerManifest, payload: str):

@@ -629,3 +629,50 @@ def test_module_entrypoint_runs_in_subprocess(tmp_path):
     assert result.stdout == ""
     assert (tmp_path / "g" / "activations.tsv").exists()
 
+
+
+def test_build_and_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """build and solve on class vectors whose one layer holds 210,000 entries,
+    in child processes under OPENBLAS_NUM_THREADS=1 and =2, write the same
+    class_embeddings.tsv and equation.csv bytes.
+
+    A BLAS dot product of that length is split over the threads, and each
+    thread count adds the terms in another order. A host with one CPU runs
+    both children on one thread, so it passes this test even for sums that
+    go through BLAS.
+    """
+    rng = np.random.default_rng(18)
+    dim, nnz = 250_000, 210_000
+    (tmp_path / "manifest.tsv").write_text(f"big\tg\t{dim}\nsmall\tg\t4\n", encoding="utf-8")
+    (tmp_path / "class_map.tsv").write_text(
+        "".join(f"c{i}\ts{i}\n" for i in range(3)), encoding="utf-8"
+    )
+    with open(tmp_path / "activations.tsv", "w", encoding="utf-8") as fh:
+        for i in range(3):
+            idx = np.sort(rng.choice(dim, nnz, replace=False)).tolist()
+            # three decimals: not dyadic, so a sum's bits depend on its order
+            val = np.round(rng.uniform(0.001, 1.0, nnz), 3).tolist()
+            field = " ".join(f"big:{k}:{v!r}" for k, v in zip(idx, val))
+            fh.write(f"i{i}\tc{i}\t{field} small:{i}:0.5\n")
+    src = str(Path(classvec.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        built, solved = tmp_path / f"built{threads}", tmp_path / f"solved{threads}"
+        for argv in (
+            ["build", "--activations", str(tmp_path / "activations.tsv"),
+             "--manifest", str(tmp_path / "manifest.tsv"),
+             "--class-map", str(tmp_path / "class_map.tsv"), "--out", str(built)],
+            ["solve", "c0 - c1", "--embeddings", str(built / "class_embeddings.tsv"),
+             "--manifest", str(tmp_path / "manifest.tsv"), "--out", str(solved)],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "classvec", *argv],
+                env=env, capture_output=True, text=True, check=True,
+            )
+        outputs.append(
+            ((built / "class_embeddings.tsv").read_bytes(), (solved / "equation.csv").read_bytes())
+        )
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]

@@ -1,5 +1,6 @@
 """Vector core: construction, validation, and agreement with dense arithmetic."""
 
+import math
 import os
 import subprocess
 import sys
@@ -35,13 +36,16 @@ from classvec.vectors import (
     subtract,
 )
 
+from classvec.pipeline import AGGREGATION_MODES, aggregate
+
 from helpers import (
     densify,
+    flat_entries,
+    left_to_right_sum,
     random_vector,
     reference_dot,
     small_manifest,
     sparsify,
-    twelve_layer_vectors,
 )
 
 
@@ -356,12 +360,13 @@ class TestOperations:
             assert n.stored_layers == v.stored_layers
 
     def test_normalize_by_layer_sums_each_layer_alone(self):
-        # one np.dot per stored layer: a search over every layer per layer is O(L^2)
+        # one summing pass for all 300 layers, not one pass (or search) per layer
         m = LayerManifest([(f"L{i}", "g", 4) for i in range(300)])
         v = SparseActivationVector(m, {f"L{i}": ([i % 4], [1.0 + i]) for i in range(0, 300, 2)})
-        with mock.patch.object(vectors, "_layer_dots", wraps=vectors._layer_dots) as dots:
+        with mock.patch.object(vectors, "_sums", wraps=vectors._sums) as sums:
             n = normalize_by_layer(v)
-        assert [len(c.args[0]) for c in dots.call_args_list] == [2] * 150
+        assert sums.call_count == 1
+        assert sums.call_args.args[1].tolist() == list(range(0, 300, 2))
         assert n.stored_layers == v.stored_layers
         assert all(n.layer(lid)[1].tolist() == [1.0] for lid in n.stored_layers)
 
@@ -429,22 +434,118 @@ class TestOperations:
         )
 
 
+_TINY = float(np.finfo(np.float64).tiny)
+# at 1e-170, 1e-160, 1e160 and 1e300 squares or their sums overflow or are not
+# normal floats, so the rescaled sums run
+_SCALES = st.sampled_from([1e-170, 1e-160, 1e-3, 1.0, 1e3, 1e160, 1e300])
+
+
+@st.composite
+def _vector_sets(draw):
+    """2-4 vectors over a random manifest, with silent layers, zero vectors,
+    and each vector's values at one or two of _SCALES."""
+    dims = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    m = LayerManifest([(f"L{i}", "g", d) for i, d in enumerate(dims)])
+    vecs = []
+    for _ in range(draw(st.integers(2, 4))):
+        scales = draw(st.lists(_SCALES, min_size=1, max_size=2))
+        entries = {}
+        for spec in m:
+            idx = draw(st.lists(st.integers(0, spec.dim - 1), max_size=spec.dim, unique=True))
+            mantissas = draw(
+                st.lists(st.floats(1.0, 10.0, exclude_max=True), min_size=len(idx), max_size=len(idx))
+            )
+            entries[spec.layer_id] = (idx, [x * draw(st.sampled_from(scales)) for x in mantissas])
+        vecs.append(SparseActivationVector(m, entries))
+    return vecs
+
+
+def _reference_scaled_sq(values: list[float]) -> tuple[float, float]:
+    """(scale, sum of squares / scale) in Python floats, left to right; summed
+    again over the largest |value| when the plain sum is not a normal float."""
+    sq = left_to_right_sum(x * x for x in values)
+    if _TINY <= sq < math.inf or not any(values):
+        return 1.0, sq
+    scale = max(abs(x) for x in values)
+    return scale, left_to_right_sum((x / scale) * (x / scale) for x in values)
+
+
+def _reference_norm(values: list[float]) -> float:
+    scale, sq = _reference_scaled_sq(values)
+    return scale * math.sqrt(sq)
+
+
+def _reference_unit(entries: dict[int, float]) -> dict[int, float]:
+    scale, sq = _reference_scaled_sq(list(entries.values()))
+    unit = {k: x / scale / math.sqrt(sq) for k, x in entries.items()}
+    return {k: x for k, x in unit.items() if x > 0}
+
+
+def _reference_cosine(a, b) -> float:
+    sq_a, sq_b = reference_dot(a, a), reference_dot(b, b)
+    if not all(_TINY <= sq < math.inf for sq in (sq_a, sq_b, sq_a * sq_b)):
+        a, b = (_vector(v.manifest, _reference_unit(flat_entries(v))) for v in (a, b))
+        sq_a, sq_b = reference_dot(a, a), reference_dot(b, b)
+    return min(1.0, reference_dot(a, b) / math.sqrt(sq_a * sq_b))
+
+
+def _reference_aggregate(images, mode: str) -> dict[int, float]:
+    n = len(images)
+    per_key: dict[int, list[float]] = {}
+    for img in images:
+        for k, x in flat_entries(img).items():
+            per_key.setdefault(k, []).append(x)
+    out = {}
+    for k in sorted(per_key):
+        xs = per_key[k]
+        if len(xs) == n and min(xs) == max(xs):
+            mean = xs[0]
+        elif mode == "arithmetic":
+            mean = left_to_right_sum(xs) * (1.0 / n)
+        elif len(xs) < n:
+            continue
+        elif mode == "geometric":
+            mean = float(np.exp(left_to_right_sum(np.log(xs).tolist()) * (1.0 / n)))
+        else:
+            mean = n / left_to_right_sum(1.0 / x for x in xs)
+        if mean > 0:
+            out[k] = mean
+    return out
+
+
+def _vector(m: LayerManifest, entries: dict[int, float]) -> SparseActivationVector:
+    dense = np.zeros(m.total_dim)
+    dense[list(entries)] = list(entries.values())
+    return sparsify(m, dense)
+
+
 class TestAgainstPerLayerReference:
-    def test_sums_match_reference_bitwise(self):
-        vecs = twelve_layer_vectors(5, 120)
+    @settings(max_examples=150, deadline=None)
+    @given(vecs=_vector_sets())
+    def test_sums_match_reference_bitwise(self, vecs):
+        # every sum adds its terms left to right in ascending flattened index
+        m = vecs[0].manifest
         for a, b in zip(vecs, vecs[1:]):
+            fa, fb = flat_entries(a), flat_entries(b)
             assert dot(a, b) == reference_dot(a, b)
-            assert l2_norm(a) == float(np.sqrt(reference_dot(a, a)))
-            want = reference_dot(a, b) / float(np.sqrt(reference_dot(a, a) * reference_dot(b, b)))
-            assert cosine_similarity(a, b) == min(1.0, want)
-            want = densify(a) / float(np.sqrt(reference_dot(a, a)))
-            assert np.array_equal(densify(normalize_whole(a)), want)
-            n = normalize_by_layer(a)
-            for lid in a.manifest.layer_ids:
-                idx, val = a.layer(lid)
-                got_idx, got_val = n.layer(lid)
-                assert np.array_equal(got_idx, idx)
-                assert np.array_equal(got_val, val / float(np.sqrt(np.dot(val, val))))
+            assert l2_norm(a) == _reference_norm(list(fa.values()))
+            diff = [fa.get(k, 0.0) - fb.get(k, 0.0) for k in sorted(fa.keys() | fb.keys())]
+            assert euclidean_distance(a, b) == _reference_norm(diff)
+            if a.is_zero or b.is_zero:
+                with pytest.raises(ZeroVectorError):
+                    cosine_similarity(a, b)
+            else:
+                assert cosine_similarity(a, b) == _reference_cosine(a, b)
+            assert flat_entries(normalize_whole(a)) == _reference_unit(fa)
+            by_layer: dict[str, dict[int, float]] = {}
+            for lid, i, x in a.iter_entries():
+                by_layer.setdefault(lid, {})[m.offset_of(lid) + i] = x
+            want = {}
+            for entries in by_layer.values():
+                want.update(_reference_unit(entries))
+            assert flat_entries(normalize_by_layer(a)) == want
+        for mode in AGGREGATION_MODES:
+            assert flat_entries(aggregate(vecs, mode)) == _reference_aggregate(vecs, mode)
 
     def test_euclidean_does_not_depend_on_hash_seed(self):
         script = textwrap.dedent("""
