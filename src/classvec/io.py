@@ -32,12 +32,13 @@ Triplet fields are read by two paths. A batch of lines, up to _BATCH_TRIPLETS
 triplets in all (a longer line is a batch alone), goes to one call of NumPy's C
 text reader (np.loadtxt), one triplet to a row, and is taken whole when it has
 no fault and the reader reads it as int() and float() would, whatever the
-order of a line's triplets: a line as the writers write it keeps its slices of
-the batch's arrays, any other is sorted and its zeros dropped. Any other
-batch, one that repeats an index within a line included, is read again a line
-at a time by a walk over its triplets, which names the first fault. So a
-FormatError's message and line do not depend on the path, and faults keep line
-order: a fault met while a batch fills is raised after its earlier lines.
+order of a line's triplets: each line is sorted and its zeros dropped, and a
+line already in order with no zero, as the writers write it, is kept as read.
+Any other batch, one that repeats an index within a line included, is read
+again a line at a time by a walk over its triplets, which names the first
+fault. So a FormatError's message and line do not depend on the path, and
+faults keep line order: a fault met while a batch fills is raised after its
+earlier lines.
 """
 
 from __future__ import annotations
@@ -309,22 +310,15 @@ def _parse_triplets(path, lineno: int, payload: str, manifest: LayerManifest) ->
 
 def _batch_vectors(fields: list[str], ends: list[int], manifest: LayerManifest):
     """The vectors of non-empty triplet fields, whose triplets end where ``ends`` says, read
-    in one bulk pass, or None for fields it does not take whole or that repeat an index. A
-    field as the writers write it keeps its slices of the pass's arrays; any other is sorted."""
+    in one bulk pass, or None for fields it does not take whole or that repeat an index."""
     entries = _bulk_triplets(fields, manifest)
     if entries is None:
         return None
     pos, idx, val = entries
-    keys = manifest._starts[pos] + idx  # the flattened index
-    starts = [0, *ends[:-1]]
-    rises = np.concatenate(([True], keys[1:] > keys[:-1]))
-    rises[starts] = True  # a field's first key is not compared
-    written = np.logical_and.reduceat(rises & (val > 0), starts).tolist()
     try:
         return [
-            SparseActivationVector._trusted(manifest, keys[span], val[span]) if as_written
-            else SparseActivationVector._from_checked(manifest, pos[span], idx[span], val[span])
-            for as_written, span in zip(written, map(slice, starts, ends))
+            SparseActivationVector._from_checked(manifest, pos[span], idx[span], val[span])
+            for span in map(slice, [0, *ends[:-1]], ends)
         ]
     except ValidationError:  # a repeated index
         return None
@@ -394,8 +388,10 @@ class _TripletMemo:
     starts afresh when a vector of another manifest comes. It is an object
     array with one slot per flattened index: the " layer_id:i:" head, made
     the first time a vector stores that index and never again, else None.
-    ``made`` marks the slots that hold a head. A layer id is checked before
-    each of its heads is made, and a head it refuses leaves its slot unmarked.
+    ``made`` marks the slots that hold a head. A layer's id is checked before
+    the first of its heads is made and, once it passes, never again
+    (``checked``); an id that is refused leaves every slot of the vector
+    unmarked, so the next vector that stores an entry there meets it again.
     Once ``texts`` is full, values have shown that they seldom repeat (class
     embeddings, for one), and the rest are formatted directly.
     """
@@ -404,6 +400,7 @@ class _TripletMemo:
         self.manifest: LayerManifest | None = None
         self.heads = np.empty(0, dtype=object)
         self.made = np.zeros(0, dtype=bool)
+        self.checked: set[int] = set()  # manifest positions of the layers whose id passed
         self.texts = _Texts()
 
     def heads_of(self, vector: SparseActivationVector) -> list[str]:
@@ -413,17 +410,18 @@ class _TripletMemo:
             self.manifest = manifest
             self.heads = np.empty(manifest.total_dim, dtype=object)
             self.made = np.zeros(manifest.total_dim, dtype=bool)
+            self.checked = set()
         keys = vector._keys
         missing = ~self.made[keys]
         if missing.any():
             new = keys[missing]
-            positions = np.searchsorted(manifest._starts, new, side="right") - 1
-            starts = manifest._starts.tolist()
-            heads = []
-            for key, position in zip(new.tolist(), positions.tolist()):
-                layer_id = manifest.layers[position].layer_id
-                _check_layer_id(layer_id)
-                heads.append(f" {layer_id}:{key - starts[position]}:")
+            positions = (np.searchsorted(manifest._starts, new, side="right") - 1).tolist()
+            layer_ids, starts = manifest.layer_ids, manifest._starts.tolist()
+            # not np.unique, whose first call imports numpy.ma (about 6 MB of RSS)
+            for position in sorted(set(positions) - self.checked):
+                _check_layer_id(layer_ids[position])
+                self.checked.add(position)
+            heads = [f" {layer_ids[p]}:{key - starts[p]}:" for key, p in zip(new.tolist(), positions)]
             self.heads[new] = np.array(heads, dtype=object)
             self.made[new] = True
         return self.heads[keys].tolist()

@@ -21,9 +21,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .manifold import DistanceMatrix
-# cosine_similarity is not called here; perfbench/probes.py counts per-pair
-# cosines by wrapping the name classvec.pipeline.cosine_similarity
-from .vectors import (  # noqa: F401
+from .vectors import (
     LayerManifest,
     SparseActivationVector,
     _sq_norm,
@@ -255,18 +253,16 @@ def build_distance_matrix(
     """Pairwise distances between class vectors, rows sorted by class_id.
 
     cosine distance is 1 - cosine_similarity and lies in [0, 1] for
-    non-negative vectors; euclidean is euclidean_distance. Both come from one
-    pass over the vectors' layer_blocks: cosine from the summed inner
-    products, with the norms taken from their diagonal, and euclidean from
-    explicit differences, never from |a|^2 + |b|^2 - 2ab. The upper triangle
-    is mirrored, so the matrix is exactly symmetric with a zero diagonal, and
-    identical vectors are exactly 0 apart. Any zero vector under cosine
-    raises ZeroVectorError.
-
-    A row whose squared norm is not in [_SQ_LO, _SQ_HI) would overflow or
-    underflow the sums: cosine takes it at unit length, as cosine_similarity
-    does, and euclidean, when such a row is not zero, fills every cell with
-    euclidean_distance, which scales each pair by its own largest value.
+    non-negative vectors; euclidean is euclidean_distance. A non-zero row whose
+    squared norm is not in [_SQ_LO, _SQ_HI) would overflow or underflow the
+    block sums, so it enters layer_blocks empty and each of its cells is the
+    metric's pair function of its two vectors, which scales the pair by itself.
+    Every other cell comes from one pass over the layer_blocks: cosine from the
+    summed inner products, with the norms taken from their diagonal, and
+    euclidean from explicit differences, never from |a|^2 + |b|^2 - 2ab. The
+    upper triangle is mirrored, so the matrix is exactly symmetric with a zero
+    diagonal, and identical vectors are exactly 0 apart. Any zero vector under
+    cosine raises ZeroVectorError.
     """
     if metric not in DISTANCE_METRICS:
         raise ValidationError(f"metric must be one of {DISTANCE_METRICS}, got {metric!r}")
@@ -278,21 +274,16 @@ def build_distance_matrix(
         raise ValidationError("duplicate class_id among embeddings")
     vectors = [e.vector for e in embeddings]
     n = len(vectors)
-    extreme = [not _SQ_LO <= _sq_norm(v._values) < _SQ_HI for v in vectors]
-    if metric == "cosine":
-        vectors = [normalize_whole(v) if out else v for v, out in zip(vectors, extreme)]
-    elif any(out and not v.is_zero for v, out in zip(vectors, extreme)):
-        upper = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                upper[i, j] = euclidean_distance(vectors[i], vectors[j])
-        return DistanceMatrix(labels, upper + upper.T)
+    if metric == "cosine" and any(v.is_zero for v in vectors):
+        raise ZeroVectorError("undefined cosine for zero vector")
+    extreme = [not (v.is_zero or _SQ_LO <= _sq_norm(v._values) < _SQ_HI) for v in vectors]
+    in_blocks = [SparseActivationVector.empty(v.manifest) if out else v for v, out in zip(vectors, extreme)]
 
     # Upper triangle: inner products (cosine) or squared distances (euclidean).
     # Row i adds the terms at its own stored columns with einsum, so each cell
     # sums its terms in one fixed order whatever the BLAS build or thread count.
     acc = np.zeros((n, n))
-    for block in layer_blocks(vectors):
+    for block in layer_blocks(in_blocks):
         for i in range(n):
             cols = np.flatnonzero(block[i])
             if not cols.size:
@@ -310,10 +301,15 @@ def build_distance_matrix(
                 acc[:i, i] += np.einsum("jk,k->j", block[:i, cols] == 0, x * x)
     if metric == "cosine":
         sq = acc.diagonal().copy()
-        if not np.all(sq > 0):
-            raise ZeroVectorError("undefined cosine for zero vector")
+        sq[extreme] = 1.0  # an emptied row's cells are filled below
         acc = 1.0 - np.minimum(1.0, acc / np.sqrt(np.outer(sq, sq)))
     else:
         acc = np.sqrt(acc)
     upper = np.triu(acc, 1)
+    pair = euclidean_distance if metric == "euclidean" else lambda a, b: 1.0 - cosine_similarity(a, b)
+    for i in np.flatnonzero(extreme).tolist():
+        for j in range(n):
+            if j > i or j < i and not extreme[j]:  # a pair of two such rows comes once
+                a, b = min(i, j), max(i, j)
+                upper[a, b] = pair(vectors[a], vectors[b])
     return DistanceMatrix(labels, upper + upper.T)

@@ -212,17 +212,14 @@ def generate(spec: GeneratorSpec, out_dir) -> dict[str, Path]:
     live = np.flatnonzero(layer_weight > 0)
 
     def class_vectors(signal: np.ndarray, n_images: int) -> list[SparseActivationVector]:
-        """The vectors of one class's images, every draw made for all of them at once."""
+        """The vectors of one class's images, every draw made for all of them at once.
+        Each image's flat keys rise and _quantize keeps its values > 0, so they are trusted."""
         size = signal.size
         if noise == 0:
             # every image of the class is the same vector
-            vector = SparseActivationVector._from_checked(
-                manifest,
-                np.repeat(live, size),
-                np.tile(signal, live.size),
-                np.repeat(_quantize(layer_weight[live]), size),
-            )
-            return [vector] * n_images
+            keys = (manifest._starts[live][:, None] + signal).ravel()
+            values = np.repeat(_quantize(layer_weight[live]), size)
+            return [SparseActivationVector._trusted(manifest, keys, values)] * n_images
         jitter = rng.random((n_images, live.size, size))
         n_background = rng.integers(2, MAX_BACKGROUND + 1, size=(n_images, n_layers))
         # Floyd's sampling, one round per background slot; unused slots sort last
@@ -249,12 +246,11 @@ def generate(spec: GeneratorSpec, out_dir) -> dict[str, Path]:
         keep = np.empty(shape, dtype=bool)
         keep[..., :size] = (layer_weight > 0)[:, None]
         keep[..., size:] = used
-        pos = np.broadcast_to(np.arange(n_layers)[:, None], shape)[keep]
-        idx = idx[keep]
+        keys = (manifest._starts[:, None] + idx)[keep]  # the flattened index
         val = _quantize(val[keep])
         ends = np.cumsum(keep.sum(axis=(1, 2))).tolist()
         return [
-            SparseActivationVector._from_checked(manifest, pos[a:b], idx[a:b], val[a:b])
+            SparseActivationVector._trusted(manifest, keys[a:b], val[a:b])
             for a, b in zip([0, *ends], ends)
         ]
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -513,6 +515,21 @@ def test_rerun_is_byte_identical_with_unusual_ids(tmp_path):
         assert read_tree(again) == read_tree(out), name
     labels = (built / "distance_matrix.csv").read_text(encoding="utf-8").splitlines()[0]
     assert '"a,b"' in labels and '"""q"""' in labels and " lead" in labels
+
+
+def test_readme_cli_example_runs_and_reruns_byte_identically(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", readme, re.S) if "classvec generate" in b)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "classvec"
+        assert main(argv[1:]) == 0, argv
+    reruns = [argv for argv in commands if argv[1] == "rerun"]
+    assert reruns
+    for argv in reruns:
+        replay = Path(argv[argv.index("--out") + 1])
+        assert read_tree(replay) == read_tree(Path(argv[2]).parent), argv
 
 
 def test_rerun_rejects_foreign_manifest(tmp_path, capsys):

@@ -795,13 +795,18 @@ def test_each_head_is_made_once_per_write_call(tmp_path):
             [cvio.ActivationRecord(f"i{k}", "c", v) for k, v in enumerate(vectors)],
             tmp_path / "a.tsv",
         )
-    assert made.call_count == distinct  # the layer id is checked once per head made
+    assert made.call_count == 2  # each layer id is checked once per write call
     with mock.patch.object(cvio, "_check_layer_id", wraps=cvio._check_layer_id) as made:
         cvio.write_class_embeddings(
             [ClassEmbedding(f"c{k}", "s", v, 1) for k, v in enumerate(vectors)],
             tmp_path / "e.tsv",
         )
-    assert made.call_count == distinct
+    assert made.call_count == 2
+    # a head made once is the same object whenever a later vector stores its index
+    memo = cvio._TripletMemo()
+    first = [memo.heads_of(v) for v in vectors[:3]]
+    for v, heads in zip(vectors[3:], first):
+        assert all(again is head for again, head in zip(memo.heads_of(v), heads))
     assert (tmp_path / "a.tsv").read_text(encoding="utf-8") == "".join(
         f"i{k}\tc\t{reference_triplets(v)}\n" for k, v in enumerate(vectors)
     )

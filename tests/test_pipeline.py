@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classvec.pipeline as pipeline
 import classvec.vectors as vectors
 
 from classvec.errors import (
@@ -21,6 +22,7 @@ from classvec.errors import (
 from classvec.pipeline import (
     AGGREGATION_MODES,
     DEFAULT_CONFIG,
+    DISTANCE_METRICS,
     ClassEmbedding,
     PipelineConfig,
     aggregate,
@@ -496,6 +498,36 @@ class TestBuildDistanceMatrix:
         for i, j in itertools.combinations(range(3), 2):
             assert euc.values[i, j] == euc.values[j, i] == euclidean_distance(vecs[i], vecs[j])
         assert euc.values[1, 2] == pytest.approx(2.0 * s, rel=1e-12)
+
+    @pytest.mark.parametrize("metric", DISTANCE_METRICS)
+    def test_only_pairs_with_an_out_of_range_row_use_the_pair_function(self, metric):
+        # under --norm none; one row's squared norm overflows and one underflows
+        rng = np.random.default_rng(367)
+        m = small_manifest()
+        vecs = [random_vector(rng, m) for _ in range(12)]
+        for k, s in ((3, 1e200), (8, 1e-170)):
+            layers = {lid: vecs[k].layer(lid) for lid in vecs[k].stored_layers}
+            vecs[k] = SparseActivationVector(m, {lid: (idx, val * s) for lid, (idx, val) in layers.items()})
+        embs = [ClassEmbedding(f"c{i:02d}", "s", v, 1) for i, v in enumerate(vecs)]
+        if metric == "cosine":
+            name, pair = "cosine_similarity", lambda a, b: 1.0 - cosine_similarity(a, b)
+        else:
+            name, pair = "euclidean_distance", euclidean_distance
+        with mock.patch.object(pipeline, name, wraps=getattr(pipeline, name)) as spy:
+            d = build_distance_matrix(embs, metric).values
+        row = {id(v): i for i, v in enumerate(vecs)}
+        calls = [frozenset(row[id(v)] for v in call.args) for call in spy.call_args_list]
+        n = len(vecs)
+        extreme = {frozenset((i, j)) for i in (3, 8) for j in range(n) if j != i}
+        assert len(calls) == len(extreme) == 2 * (n - 1) - 1
+        assert set(calls) == extreme
+        assert np.array_equal(d, d.T)
+        assert np.all(d.diagonal() == 0.0)
+        for i, j in itertools.combinations(range(n), 2):
+            if {i, j} & {3, 8}:
+                assert d[i, j] == pair(vecs[i], vecs[j]), (i, j)
+            else:
+                assert d[i, j] == pytest.approx(pair(vecs[i], vecs[j]), abs=1e-12), (i, j)
 
     @settings(max_examples=150)
     @given(data=st.data())

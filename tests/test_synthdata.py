@@ -3,10 +3,11 @@
 import json
 import math
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import classvec.io as cvio
@@ -266,10 +267,10 @@ def hierarchy_size(n_classes: int, branching: int) -> int:
 
 
 @st.composite
-def generator_cases(draw):
+def generator_cases(draw, max_block=3):
     n_classes = draw(st.integers(2, 12))
     branching = draw(st.integers(2, 4))
-    block = draw(st.integers(1, 3))
+    block = draw(st.integers(1, max_block))
     noise = draw(st.sampled_from([0.0, 0.05, 0.3]))
     capacity = hierarchy_size(n_classes, branching) * block
     manifest = None
@@ -331,3 +332,28 @@ def test_generated_structure_matches_taxonomy_oracle(spec):
             assert np.array_equal(val, np.round(val, 4))
     assert set(images) == set(class_map)
     assert all(lo <= n <= hi for n in images.values())
+
+
+@settings(max_examples=40)
+@given(spec=generator_cases(max_block=4))
+@example(spec=small_spec(block_size=4, group_weights={"3a": 0.0}))
+@example(spec=GeneratorSpec(
+    seed=3, n_classes=4, images_per_class=(2, 3), branching=2, block_size=4, noise_scale=0.3,
+    group_weights={"ga": 0.0}, manifest=LayerManifest([("a", "ga", 64), ("b", "gb", 64)]),
+))
+def test_generated_vectors_are_canonical_and_read_back_equal(spec):
+    # generate builds its vectors unchecked, trusting their keys to rise and values to be > 0
+    write_activations = cvio.write_activations
+    written = []
+
+    def capture(records, path):
+        written.extend(records)
+        write_activations(written, path)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cvio, "write_activations", capture):
+        paths = generate(spec, tmp)
+        read = list(cvio.stream_activations(paths["activations"], cvio.load_manifest(paths["manifest"])))
+    assert read == written
+    for rec in written:
+        keys, values = rec.vector._keys, rec.vector._values
+        assert np.all(keys[1:] > keys[:-1]) and np.all(values > 0), rec.image_id
