@@ -138,8 +138,8 @@ def _config_from_flags(args) -> PipelineConfig:
             "--norm none and --norm-stage none must be used together "
             f"(got --norm {args.norm} --norm-stage {args.norm_stage})"
         )
-    if args.threshold is not None and args.threshold < 0:
-        raise UsageError(f"--threshold must be non-negative, got {args.threshold}")
+    if args.threshold is not None and not 0 <= args.threshold < float("inf"):
+        raise UsageError(f"--threshold must be finite and non-negative, got {args.threshold}")
     groups = None
     if args.groups is not None:
         groups = tuple(g for g in (p.strip() for p in args.groups.split(",")) if g)

@@ -29,7 +29,6 @@ from .vectors import (
     apply_threshold,
     cosine_similarity,
     euclidean_distance,
-    layer_blocks,
     normalize_by_layer,
     normalize_whole,
     restrict_to_groups,
@@ -66,8 +65,8 @@ class PipelineConfig:
             raise ValidationError("norm_scope must be 'none' exactly when norm_stage is 'none'")
         if self.threshold is not None:
             object.__setattr__(self, "threshold", float(self.threshold))
-            if self.threshold < 0:
-                raise ValidationError(f"threshold must be non-negative, got {self.threshold}")
+            if not 0 <= self.threshold < np.inf:
+                raise ValidationError(f"threshold must be finite and non-negative, got {self.threshold}")
         if self.groups is not None:
             groups = tuple(str(g) for g in self.groups)
             if not groups:
@@ -247,22 +246,67 @@ def build_class_embeddings(
     return [done[class_id] for class_id in sorted(done)]
 
 
+_BLOCK_CELLS = 1 << 21  # cells in one dense euclidean block: 16 MB of float64 at any row count
+
+
+def _pack(vectors: Sequence[SparseActivationVector]):
+    """Every stored entry sorted by (flattened index, row): the distinct keys, where
+    each key's run starts (then the end), and the entries' rows and values."""
+    nnz = [v.nnz for v in vectors]
+    keys = np.concatenate([v._keys for v in vectors])
+    order = np.lexsort((np.repeat(np.arange(len(vectors)), nnz), keys))
+    keys = keys[order]
+    new = np.r_[True, keys[1:] != keys[:-1]][: keys.size]  # a key's run starts; none if empty
+    start = np.r_[np.flatnonzero(new), keys.size]
+    distinct = keys[start[:-1]]
+    del keys  # freed before the values are sorted, to hold three entry-sized arrays at most
+    values = np.concatenate([v._values for v in vectors])[order]
+    return distinct, start, np.searchsorted(np.cumsum(nnz), order, side="right"), values
+
+
+def _gram(distinct, start, rows, values, vectors: Sequence[SparseActivationVector]) -> np.ndarray:
+    """Upper triangle and diagonal of the inner products: each entry of row i takes the
+    rest of its key's run (rows j >= i), so cell (i, j) adds its terms as vectors.dot does."""
+    n = len(vectors)
+    seen = np.zeros(distinct.size, dtype=np.intp)  # rows so far in each key's run
+    gram = np.zeros((n, n))
+    for i, v in enumerate(vectors):
+        col = np.searchsorted(distinct, v._keys)
+        pos = start[col] + seen[col]  # row i's place in its keys' runs
+        seen[col] += 1
+        length = start[col + 1] - pos
+        take = np.repeat(pos - (np.cumsum(length) - length), length) + np.arange(length.sum())
+        gram[i] = _sums(np.repeat(v._values, length) * values[take], rows[take], n)
+    return gram
+
+
+def _blocks(distinct, start, rows, values, manifest: LayerManifest, n: int):
+    """Dense n-row blocks of the pack: each layer's distinct keys in order, at
+    most _BLOCK_CELLS cells a block; a silent layer gives no block."""
+    cuts = np.searchsorted(distinct, [*manifest._starts.tolist(), manifest.total_dim]).tolist()
+    width = max(1, _BLOCK_CELLS // n)
+    edges = [lo for first, end in zip(cuts, cuts[1:]) for lo in range(first, end, width)] + [cuts[-1]]
+    for lo, hi in zip(edges, edges[1:]):
+        a, b = start[lo], start[hi]
+        block = np.zeros((n, hi - lo))
+        block[rows[a:b], np.repeat(np.arange(hi - lo), np.diff(start[lo : hi + 1]))] = values[a:b]
+        yield block
+
+
 def build_distance_matrix(
     embeddings: Sequence[ClassEmbedding], metric: str = "cosine"
 ) -> DistanceMatrix:
     """Pairwise distances between class vectors, rows sorted by class_id.
 
-    cosine distance is 1 - cosine_similarity and lies in [0, 1] for
-    non-negative vectors; euclidean is euclidean_distance. A non-zero row whose
-    squared norm is not in [_SQ_LO, _SQ_HI) would overflow or underflow the
-    block sums, so it enters layer_blocks empty and each of its cells is the
-    metric's pair function of its two vectors, which scales the pair by itself.
-    Every other cell comes from one pass over the layer_blocks: cosine from the
-    summed inner products, with the norms taken from their diagonal, and
-    euclidean from explicit differences, never from |a|^2 + |b|^2 - 2ab. The
-    upper triangle is mirrored, so the matrix is exactly symmetric with a zero
-    diagonal, and identical vectors are exactly 0 apart. Any zero vector under
-    cosine raises ZeroVectorError.
+    cosine distance is 1 - cosine_similarity, in [0, 1] for non-negative vectors;
+    euclidean is euclidean_distance. A non-zero row whose squared norm is not in
+    [_SQ_LO, _SQ_HI) would overflow or underflow the shared sums, so it enters
+    the _pack empty and each of its cells is the metric's pair function of its
+    two vectors. Every other cosine cell comes from _gram, 1 - cosine_similarity
+    bit for bit whatever the other rows; every other euclidean cell from the
+    _blocks, by explicit differences, never |a|^2 + |b|^2 - 2ab. The matrix is
+    exactly symmetric with a zero diagonal, identical vectors are exactly 0
+    apart, and a zero vector under cosine raises ZeroVectorError.
     """
     if metric not in DISTANCE_METRICS:
         raise ValidationError(f"metric must be one of {DISTANCE_METRICS}, got {metric!r}")
@@ -274,36 +318,30 @@ def build_distance_matrix(
         raise ValidationError("duplicate class_id among embeddings")
     vectors = [e.vector for e in embeddings]
     n = len(vectors)
+    if any(v.manifest != vectors[0].manifest for v in vectors):
+        raise ManifestMismatchError("build_distance_matrix: vectors use different manifests")
     if metric == "cosine" and any(v.is_zero for v in vectors):
         raise ZeroVectorError("undefined cosine for zero vector")
     extreme = [not (v.is_zero or _SQ_LO <= _sq_norm(v._values) < _SQ_HI) for v in vectors]
-    in_blocks = [SparseActivationVector.empty(v.manifest) if out else v for v, out in zip(vectors, extreme)]
-
-    # Upper triangle: inner products (cosine) or squared distances (euclidean).
-    # Row i adds the terms at its own stored columns with einsum, so each cell
-    # sums its terms in one fixed order whatever the BLAS build or thread count.
-    acc = np.zeros((n, n))
-    for block in layer_blocks(in_blocks):
-        for i in range(n):
-            cols = np.flatnonzero(block[i])
-            if not cols.size:
-                continue
-            x = block[i, cols]
-            if metric == "cosine":
-                # all n rows, not rows i..: einsum sums a one-row operand in another
-                # order than a taller one, and a duplicate of the last row then
-                # missed its diagonal by an ulp
-                acc[i, i:] += np.einsum("jk,k->j", block[:, cols], x)[i:]
-            else:
+    in_pack = [SparseActivationVector.empty(v.manifest) if out else v for v, out in zip(vectors, extreme)]
+    pack = _pack(in_pack)
+    if metric == "cosine":
+        acc = _gram(*pack, in_pack)
+        sq = np.where(extreme, 1.0, acc.diagonal())  # an emptied row's cells are filled below
+        acc = 1.0 - np.minimum(1.0, acc / np.sqrt(np.outer(sq, sq)))
+    else:
+        # squared distances: einsum adds each cell's terms in one order at any BLAS thread count
+        acc = np.zeros((n, n))
+        for block in _blocks(*pack, vectors[0].manifest, n):
+            for i in range(n):
+                cols = np.flatnonzero(block[i])
+                if not cols.size:
+                    continue
+                x = block[i, cols]
                 diff = block[i + 1 :, cols] - x
                 acc[i, i + 1 :] += np.einsum("jk,jk->j", diff, diff)
                 # rows j < i: row i's entries where row j has none
                 acc[:i, i] += np.einsum("jk,k->j", block[:i, cols] == 0, x * x)
-    if metric == "cosine":
-        sq = acc.diagonal().copy()
-        sq[extreme] = 1.0  # an emptied row's cells are filled below
-        acc = 1.0 - np.minimum(1.0, acc / np.sqrt(np.outer(sq, sq)))
-    else:
         acc = np.sqrt(acc)
     upper = np.triu(acc, 1)
     pair = euclidean_distance if metric == "euclidean" else lambda a, b: 1.0 - cosine_similarity(a, b)

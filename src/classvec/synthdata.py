@@ -81,14 +81,14 @@ class GeneratorSpec:
         object.__setattr__(self, "images_per_class", (int(lo), int(hi)))
         if self.block_size < 1:
             raise ValidationError(f"block_size must be >= 1, got {self.block_size}")
-        if self.noise_scale < 0:
-            raise ValidationError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not 0 <= self.noise_scale < np.inf:
+            raise ValidationError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.branching < 2:
             raise ValidationError(f"branching must be >= 2, got {self.branching}")
         if self.group_weights is not None:
             weights = {str(g): float(w) for g, w in self.group_weights.items()}
-            if any(w < 0 for w in weights.values()):
-                raise ValidationError("group weights must be non-negative")
+            if any(not 0 <= w < np.inf for w in weights.values()):
+                raise ValidationError("group weights must be finite and non-negative")
             object.__setattr__(self, "group_weights", weights)
 
     def to_dict(self) -> dict:

@@ -10,15 +10,14 @@ stored entries (dot, the norms, cosine, euclidean_distance, both
 normalizations) goes through _sums, one np.bincount that adds its terms left
 to right in ascending flattened index and calls no BLAS. Binary operations
 are linear merges over the stored entries and never touch absent
-coordinates; layer_blocks packs many vectors into dense per-layer blocks for
-all-pairs work. Vectors are immutable after construction; all operations
-return new vectors and are safe to call concurrently.
+coordinates. Vectors are immutable after construction; all operations return
+new vectors and are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -466,43 +465,6 @@ def euclidean_distance(a: SparseActivationVector, b: SparseActivationVector) -> 
     return _norm(_align(a._keys, a._values, keys) - _align(b._keys, b._values, keys))
 
 
-# Cells in one block of layer_blocks (16 MB of float64), whatever the vector count.
-_BLOCK_CELLS = 1 << 21
-
-
-def layer_blocks(vectors: Sequence[SparseActivationVector]) -> Iterator[np.ndarray]:
-    """The vectors' stored entries as dense blocks with one row per vector.
-
-    Layers come in manifest order. Each covers the union of the vectors'
-    supports in that layer, in index order, cut into blocks of at most
-    _BLOCK_CELLS cells; a silent layer gives no block. Every stored entry
-    lands in exactly one block, so sums over the blocks' columns cover the
-    whole vectors without an n x total_dim array.
-    """
-    vectors = list(vectors)
-    for v in vectors[1:]:
-        _require_same_manifest(vectors[0], v, "layer_blocks")
-    if not vectors:
-        return
-    n = len(vectors)
-    width = max(1, _BLOCK_CELLS // n)
-    bounds = [v._bounds() for v in vectors]
-    for p in range(len(vectors[0].manifest)):
-        runs = [(r, b[p], b[p + 1]) for r, b in enumerate(bounds) if b[p] < b[p + 1]]
-        if not runs:
-            continue
-        row = np.repeat([r for r, _, _ in runs], [hi - lo for _, lo, hi in runs])
-        # within a layer, flattened indices sort as the layer's own indices do
-        keys = np.concatenate([vectors[r]._keys[lo:hi] for r, lo, hi in runs])
-        support, col = np.unique(keys, return_inverse=True)
-        val = np.concatenate([vectors[r]._values[lo:hi] for r, lo, hi in runs])
-        for start in range(0, support.size, width):
-            sel = (col >= start) & (col < start + width)
-            block = np.zeros((n, min(width, support.size - start)))
-            block[row[sel], col[sel] - start] = val[sel]
-            yield block
-
-
 def subtract(a: SparseActivationVector, b: SparseActivationVector) -> SparseActivationVector:
     """Clamped per-feature difference: a - b where a > b, else 0.
 
@@ -519,8 +481,8 @@ def subtract(a: SparseActivationVector, b: SparseActivationVector) -> SparseActi
 def apply_threshold(v: SparseActivationVector, t: float) -> SparseActivationVector:
     """Drop entries with value strictly below t; t = 0 is the identity."""
     t = float(t)
-    if t < 0:
-        raise ValidationError(f"threshold must be non-negative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValidationError(f"threshold must be finite and non-negative, got {t}")
     keep = v._values >= t
     if keep.all():
         return v

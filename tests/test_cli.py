@@ -57,7 +57,8 @@ def test_generate_writes_dataset_and_manifest(dataset):
         "activations.tsv", "manifest.tsv", "taxonomy.tsv", "counts.tsv",
         "class_map.tsv", "dataset_meta.json", RUN_MANIFEST_NAME,
     } <= names
-    recorded = json.loads((dataset / RUN_MANIFEST_NAME).read_text())
+    text = (dataset / RUN_MANIFEST_NAME).read_text()
+    recorded = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
     assert recorded["subcommand"] == "generate"
     assert recorded["arguments"]["seed"] == 7
     assert "out" not in recorded["arguments"]
@@ -552,8 +553,18 @@ def test_rerun_rejects_missing_file(tmp_path, capsys):
 # one flag fault per subcommand that main() rejects after argparse accepted it
 USAGE_FAULTS = {
     "generate": ["generate", "--classes", "1"],
+    # non-finite settings would reach the data files and run_manifest.json
+    "generate-noise-nan": ["generate", "--noise", "nan"],
+    "generate-noise-inf": ["generate", "--noise", "inf"],
+    "generate-weight-nan": ["generate", "--group-weights", "3a=nan"],
+    "generate-weight-inf": ["generate", "--group-weights", "3a=inf"],
     "build": ["build", "--activations", "a.tsv", "--manifest", "m.tsv", "--class-map", "c.tsv",
               "--norm", "none"],
+    # a NaN or inf threshold would empty every class vector
+    "build-threshold-nan": ["build", "--activations", "a.tsv", "--manifest", "m.tsv",
+                            "--class-map", "c.tsv", "--threshold", "nan"],
+    "build-threshold-inf": ["build", "--activations", "a.tsv", "--manifest", "m.tsv",
+                            "--class-map", "c.tsv", "--threshold", "inf"],
     "eval": ["eval", "--distances", "d.csv", "--taxonomy", "t.tsv", "--measure", "res"],
     "mds": ["mds", "--distances", "d.csv", "--dims", "3", "--highlight", "h.tsv"],
     "mds-dims-0": ["mds", "--distances", "d.csv", "--dims", "0"],

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classvec.pipeline as pipeline
-import classvec.vectors as vectors
 
 from classvec.errors import (
     ManifestMismatchError,
@@ -36,7 +35,7 @@ from classvec.vectors import (
     euclidean_distance,
 )
 
-from helpers import densify, random_vector, reference_aggregate, small_manifest
+from helpers import densify, random_vector, reference_aggregate, small_manifest, twelve_layer_vectors
 
 Rec = namedtuple("Rec", "image_id class_id vector")
 
@@ -56,8 +55,9 @@ class TestPipelineConfig:
             PipelineConfig(norm_stage="none", norm_scope="layer")
         with pytest.raises(ValidationError, match="norm_scope"):
             PipelineConfig(norm_stage="class", norm_scope="none")
-        with pytest.raises(ValidationError, match="threshold"):
-            PipelineConfig(threshold=-0.5)
+        for t in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="threshold"):
+                PipelineConfig(threshold=t)
         with pytest.raises(ValidationError, match="non-empty"):
             PipelineConfig(groups=())
         with pytest.raises(ValidationError, match="duplicates"):
@@ -549,7 +549,7 @@ class TestBuildDistanceMatrix:
         # small blocks split the layers into several column blocks
         cells = data.draw(st.sampled_from([1, 2, 5, 1 << 21]))
         has_zero = any(v.is_zero for v in vecs)
-        with mock.patch.object(vectors, "_BLOCK_CELLS", cells):
+        with mock.patch.object(pipeline, "_BLOCK_CELLS", cells):
             euc = build_distance_matrix(embs, "euclidean").values
             if has_zero:
                 with pytest.raises(ZeroVectorError):
@@ -570,7 +570,44 @@ class TestBuildDistanceMatrix:
                 if cos is None:
                     continue
                 assert cos[i, j] == pytest.approx(1.0 - cosine_similarity(vecs[i], vecs[j]), abs=1e-12)
+                # every drawn row's squared norm is in [_SQ_LO, _SQ_HI), so the
+                # Gram adds each cell's terms as cosine_similarity does
+                assert cos[i, j] == 1.0 - cosine_similarity(vecs[i], vecs[j])
                 if vecs[i] == vecs[j]:
                     assert cos[i, j] == 0.0
                 if not np.any((dense[i] > 0) & (dense[j] > 0)):
                     assert cos[i, j] == 1.0
+
+    def test_cosine_cells_are_one_minus_cosine_similarity_bit_for_bit(self):
+        # seeded companion of the bitwise check in test_matches_pairwise_functions,
+        # whose small drawn vectors seldom reach a cell that another summing order rounds differently
+        vecs = twelve_layer_vectors(379, 30)
+        d = build_distance_matrix([ClassEmbedding(f"c{i:02d}", "s", v, 1) for i, v in enumerate(vecs)]).values
+        for i, j in itertools.combinations(range(len(vecs)), 2):
+            assert d[i, j] == 1.0 - cosine_similarity(vecs[i], vecs[j]), (i, j)
+
+    @pytest.mark.parametrize("keep", [slice(0, 20), slice(0, None, 2)], ids=["prefix", "every-other"])
+    def test_cosine_cell_does_not_depend_on_the_other_rows(self, keep):
+        # small blocks: a block layout that depends on the row count must not reach a cell
+        rng = np.random.default_rng(373)
+        m = LayerManifest([("wide", "g", 2000), ("mid", "g", 300), ("narrow", "h", 7)])
+        embs = [ClassEmbedding(f"c{i:02d}", "s", random_vector(rng, m, density=0.2), 1) for i in range(45)]
+        with mock.patch.object(pipeline, "_BLOCK_CELLS", 4096):
+            full = build_distance_matrix(embs, "cosine").values
+            part = build_distance_matrix(embs[keep], "cosine").values
+        rows = np.arange(len(embs))[keep]
+        assert np.array_equal(part, full[np.ix_(rows, rows)])
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), cells=st.sampled_from([1, 3, 8, 1 << 21]))
+def test_blocks_are_the_dense_rows_without_empty_columns(seed, n, cells):
+    rng = np.random.default_rng(seed)
+    m = small_manifest()
+    vecs = [random_vector(rng, m, density=float(rng.uniform(0.0, 0.4)), allow_zero=True) for _ in range(n)]
+    with mock.patch.object(pipeline, "_BLOCK_CELLS", cells):
+        blocks = list(pipeline._blocks(*pipeline._pack(vecs), m, n))
+    assert all(b.shape[0] == n and b.size <= max(cells, n) for b in blocks)
+    dense = np.array([densify(v) for v in vecs])
+    got = np.hstack(blocks) if blocks else np.zeros((n, 0))
+    assert np.array_equal(got, dense[:, dense.any(axis=0)])

@@ -55,12 +55,14 @@ def test_spec_validation():
         GeneratorSpec(images_per_class=(0, 3))
     with pytest.raises(ValidationError, match="block_size"):
         GeneratorSpec(block_size=0)
-    with pytest.raises(ValidationError, match="noise_scale"):
-        GeneratorSpec(noise_scale=-0.1)
+    for noise in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="noise_scale"):
+            GeneratorSpec(noise_scale=noise)
     with pytest.raises(ValidationError, match="branching"):
         GeneratorSpec(branching=1)
-    with pytest.raises(ValidationError, match="non-negative"):
-        GeneratorSpec(group_weights={"3a": -1.0})
+    for weight in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            GeneratorSpec(group_weights={"3a": weight})
 
 
 def test_same_seed_gives_identical_bytes(tmp_path):

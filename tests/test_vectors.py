@@ -29,7 +29,6 @@ from classvec.vectors import (
     dot,
     euclidean_distance,
     l2_norm,
-    layer_blocks,
     normalize_by_layer,
     normalize_whole,
     restrict_to_groups,
@@ -335,6 +334,11 @@ class TestOperations:
         v = random_vector(rng, small_manifest())
         assert apply_threshold(v, 0.0) is v
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, t):
+        with pytest.raises(ValidationError, match="finite"):
+            apply_threshold(random_vector(np.random.default_rng(37), small_manifest()), t)
+
     def test_threshold_keeps_values_at_or_above(self):
         m = small_manifest()
         v = SparseActivationVector(m, {"a1": ([0, 1, 2], [0.1, 0.5, 0.9])})
@@ -572,30 +576,6 @@ class TestAgainstPerLayerReference:
         assert len(outputs) == 1
         # manifest order: 1.0 first, and each 2**-54 square then rounds away
         assert outputs.pop()[:16] == np.float64(1.0).tobytes().hex()
-
-
-class TestLayerBlocks:
-    @settings(max_examples=60)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), cells=st.sampled_from([1, 3, 8, 1 << 21]))
-    def test_blocks_are_the_dense_rows_without_empty_columns(self, seed, n, cells):
-        rng = np.random.default_rng(seed)
-        m = small_manifest()
-        vecs = [
-            random_vector(rng, m, density=float(rng.uniform(0.0, 0.4)), allow_zero=True)
-            for _ in range(n)
-        ]
-        with mock.patch.object(vectors, "_BLOCK_CELLS", cells):
-            blocks = list(layer_blocks(vecs))
-        assert all(b.shape[0] == n and b.size <= max(cells, n) for b in blocks)
-        dense = np.array([densify(v) for v in vecs])
-        got = np.hstack(blocks) if blocks else np.zeros((n, 0))
-        assert np.array_equal(got, dense[:, dense.any(axis=0)])
-
-    def test_mixed_manifests_rejected(self):
-        a = SparseActivationVector(small_manifest(), {"a1": ([0], [1.0])})
-        b = SparseActivationVector(LayerManifest([("a1", "low", 16)]), {"a1": ([0], [1.0])})
-        with pytest.raises(ManifestMismatchError):
-            list(layer_blocks([a, b]))
 
 
 # -- every construction path against the dense mirror -----------------------------
