@@ -133,27 +133,19 @@ def cmd_generate(args) -> None:
 
 
 def _config_from_flags(args) -> PipelineConfig:
-    if (args.norm == "none") != (args.norm_stage == "none"):
-        raise UsageError(
-            "--norm none and --norm-stage none must be used together "
-            f"(got --norm {args.norm} --norm-stage {args.norm_stage})"
-        )
-    if args.threshold is not None and not 0 <= args.threshold < float("inf"):
-        raise UsageError(f"--threshold must be finite and non-negative, got {args.threshold}")
     groups = None
     if args.groups is not None:
         groups = tuple(g for g in (p.strip() for p in args.groups.split(",")) if g)
-        if not groups:
-            raise UsageError("--groups must name at least one group")
-        if len(set(groups)) != len(groups):
-            raise UsageError("--groups contains duplicates")
-    return PipelineConfig(
-        aggregation=args.agg,
-        norm_stage=args.norm_stage,
-        norm_scope=args.norm,
-        threshold=args.threshold,
-        groups=groups,
-    )
+    try:
+        return PipelineConfig(
+            aggregation=args.agg,
+            norm_stage=args.norm_stage,
+            norm_scope=args.norm,
+            threshold=args.threshold,
+            groups=groups,
+        )
+    except ClassVecError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_build(args) -> None:

@@ -115,14 +115,32 @@ class ClassEmbedding:
             )
 
 
+def _pack(vectors: Sequence[SparseActivationVector]):
+    """Every stored entry sorted by (flattened index, row): the distinct keys, where each
+    key's run starts (then the end), and the entries' rows and values, each run in row
+    order. aggregate packs a class's images, build_distance_matrix the class vectors."""
+    nnz = [v.nnz for v in vectors]
+    keys = np.concatenate([v._keys for v in vectors])
+    order = np.argsort(keys, kind="stable")  # stable: ties keep the row order of the concatenation
+    keys = keys[order]
+    new = np.r_[True, keys[1:] != keys[:-1]][: keys.size]  # a key's run starts; none if empty
+    start = np.r_[np.flatnonzero(new), keys.size]
+    distinct = keys[start[:-1]]
+    del keys  # freed before the values are sorted, to hold three entry-sized arrays at most
+    values = np.concatenate([v._values for v in vectors])[order]
+    return distinct, start, np.searchsorted(np.cumsum(nnz), order, side="right"), values
+
+
 def aggregate(images: Sequence[SparseActivationVector], mode: str) -> SparseActivationVector:
     """Per-feature mean over all n images, counting absent entries as 0.
 
     arithmetic: sum/n over the union of supports. geometric ((prod)^(1/n),
     taken as exp(mean(log v))) and harmonic (n/sum(1/v)) are zero wherever
-    any image lacks the feature, so their support is the intersection. A feature whose value is identical
-    in every image keeps that exact value under all three modes. Each feature
-    sums its values in the order of ``images``.
+    any image lacks the feature, so their support is the intersection. A
+    feature whose value is identical in every image keeps that exact value
+    under all three modes. The images are grouped by feature through _pack,
+    as build_distance_matrix groups class vectors, so each feature sums its
+    values in the order of ``images``.
     """
     if mode not in AGGREGATION_MODES:
         raise ValidationError(f"aggregation must be one of {AGGREGATION_MODES}, got {mode!r}")
@@ -137,33 +155,26 @@ def aggregate(images: Sequence[SparseActivationVector], mode: str) -> SparseActi
     if n == 1:
         return images[0]
 
-    # every image's flat entries in image order, so each feature sums in that order
-    keys = np.concatenate([img._keys for img in images])
-    values = np.concatenate([img._values for img in images])
-    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-
-    lo = np.full(uniq.size, np.inf)
-    hi = np.full(uniq.size, -np.inf)
-    np.minimum.at(lo, inverse, values)
-    np.maximum.at(hi, inverse, values)
+    # each feature's run holds its values in image order, so it sums in that order
+    distinct, start, _, values = _pack(images)
+    k, first, counts = distinct.size, start[:-1], np.diff(start)
+    run = np.repeat(np.arange(k), counts)
+    lo, hi = np.minimum.reduceat(values, first), np.maximum.reduceat(values, first)
     constant = (counts == n) & (lo == hi)
 
     inv_n = 1.0 / n
     if mode == "arithmetic":
-        mean = _sums(values, inverse, uniq.size) * inv_n
-        keep = np.ones(uniq.size, dtype=bool)
+        mean = _sums(values, run, k) * inv_n
     elif mode == "geometric":
         # in log space: the product of many images' values under- or overflows
-        mean = np.exp(_sums(np.log(values), inverse, uniq.size) * inv_n)
-        keep = counts == n
+        mean = np.exp(_sums(np.log(values), run, k) * inv_n)
     else:
         with np.errstate(divide="ignore"):
-            mean = n / _sums(1.0 / values, inverse, uniq.size)
-        keep = counts == n
+            mean = n / _sums(1.0 / values, run, k)
     mean = np.where(constant, lo, mean)
 
-    keep &= mean > 0
-    keys, values = uniq[keep], mean[keep]
+    keep = ((counts == n) | (mode == "arithmetic")) & (mean > 0)
+    keys, values = distinct[keep], mean[keep]
     overflowed = keys[values == np.inf]
     if overflowed.size:  # a sum of finite values; the error names the first such layer by id
         positions = np.searchsorted(manifest._starts, overflowed, side="right") - 1
@@ -247,21 +258,6 @@ def build_class_embeddings(
 
 
 _BLOCK_CELLS = 1 << 21  # cells in one dense euclidean block: 16 MB of float64 at any row count
-
-
-def _pack(vectors: Sequence[SparseActivationVector]):
-    """Every stored entry sorted by (flattened index, row): the distinct keys, where
-    each key's run starts (then the end), and the entries' rows and values."""
-    nnz = [v.nnz for v in vectors]
-    keys = np.concatenate([v._keys for v in vectors])
-    order = np.lexsort((np.repeat(np.arange(len(vectors)), nnz), keys))
-    keys = keys[order]
-    new = np.r_[True, keys[1:] != keys[:-1]][: keys.size]  # a key's run starts; none if empty
-    start = np.r_[np.flatnonzero(new), keys.size]
-    distinct = keys[start[:-1]]
-    del keys  # freed before the values are sorted, to hold three entry-sized arrays at most
-    values = np.concatenate([v._values for v in vectors])[order]
-    return distinct, start, np.searchsorted(np.cumsum(nnz), order, side="right"), values
 
 
 def _gram(distinct, start, rows, values, vectors: Sequence[SparseActivationVector]) -> np.ndarray:

@@ -90,6 +90,16 @@ class GeneratorSpec:
             if any(not 0 <= w < np.inf for w in weights.values()):
                 raise ValidationError("group weights must be finite and non-negative")
             object.__setattr__(self, "group_weights", weights)
+        # the largest value a spec can draw: a signal entry of its heaviest group at
+        # the top of the jitter, or a background entry; _quantize scales it by 1e4
+        groups = self.manifest.groups if self.manifest is not None else DEFAULT_GROUPS
+        heaviest = max([1.0, *(w for g, w in (self.group_weights or {}).items() if g in groups)])
+        top = max(heaviest * (1.0 + self.noise_scale / 2), self.noise_scale)
+        if not top * 1e4 < np.inf:
+            raise ValidationError(
+                f"noise_scale {self.noise_scale:g} with group weights up to {heaviest:g} "
+                "draws values past the largest value on the 1e-4 grid"
+            )
 
     def to_dict(self) -> dict:
         return {

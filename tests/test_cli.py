@@ -558,6 +558,9 @@ USAGE_FAULTS = {
     "generate-noise-inf": ["generate", "--noise", "inf"],
     "generate-weight-nan": ["generate", "--group-weights", "3a=nan"],
     "generate-weight-inf": ["generate", "--group-weights", "3a=inf"],
+    # values that overflow on the generator's 1e-4 grid
+    "generate-noise-overflow": ["generate", "--noise", "1e308"],
+    "generate-weight-overflow": ["generate", "--group-weights", "3a=1e308"],
     "build": ["build", "--activations", "a.tsv", "--manifest", "m.tsv", "--class-map", "c.tsv",
               "--norm", "none"],
     # a NaN or inf threshold would empty every class vector
@@ -565,6 +568,12 @@ USAGE_FAULTS = {
                             "--class-map", "c.tsv", "--threshold", "nan"],
     "build-threshold-inf": ["build", "--activations", "a.tsv", "--manifest", "m.tsv",
                             "--class-map", "c.tsv", "--threshold", "inf"],
+    "build-norm-stage-none": ["build", "--activations", "a.tsv", "--manifest", "m.tsv",
+                              "--class-map", "c.tsv", "--norm-stage", "none"],
+    "build-groups-empty": ["build", "--activations", "a.tsv", "--manifest", "m.tsv",
+                           "--class-map", "c.tsv", "--groups", ","],
+    "build-groups-duplicate": ["build", "--activations", "a.tsv", "--manifest", "m.tsv",
+                               "--class-map", "c.tsv", "--groups", "3a,3a"],
     "eval": ["eval", "--distances", "d.csv", "--taxonomy", "t.tsv", "--measure", "res"],
     "mds": ["mds", "--distances", "d.csv", "--dims", "3", "--highlight", "h.tsv"],
     "mds-dims-0": ["mds", "--distances", "d.csv", "--dims", "0"],

@@ -63,6 +63,27 @@ def test_spec_validation():
     for weight in (-1.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="finite and non-negative"):
             GeneratorSpec(group_weights={"3a": weight})
+    # values past 1.8e304 overflow when _quantize scales them by 1e4
+    for kwargs in (
+        {"noise_scale": 1e308},
+        {"noise_scale": 1.8e304},
+        {"group_weights": {"3a": 1e308}},
+        {"group_weights": {"3a": 1e200}, "noise_scale": 1e200},
+    ):
+        with pytest.raises(ValidationError, match="1e-4 grid"):
+            GeneratorSpec(**kwargs)
+    GeneratorSpec(group_weights={"zz": 1e308})  # no layer draws from group zz
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"noise_scale": 1.7e304}, {"noise_scale": 0.1, "group_weights": {"3a": 1.7e304}}],
+    ids=["noise", "weight"],
+)
+def test_spec_just_inside_the_overflow_bound_generates_finite_values(tmp_path, overrides):
+    paths = generate(small_spec(**overrides), tmp_path / "d")
+    values = np.concatenate([rec.vector._values for rec in load_all(paths)[4]])
+    assert np.isfinite(values).all() and values.max() > 1e304
 
 
 def test_same_seed_gives_identical_bytes(tmp_path):
