@@ -56,8 +56,8 @@ def _out_dir(args) -> Path:
 def _arguments_of(args) -> dict:
     """Every resolved flag except the output directory, keyed by dest name.
 
-    ``rerun`` rebuilds the argparse namespace straight from this dictionary,
-    so it must stay JSON-native and complete.
+    ``rerun`` passes this dictionary back through the subcommand's parser as a
+    command line (_command_line), so it must stay JSON-native.
     """
     return {
         k: v for k, v in vars(args).items() if k not in ("func", "subcommand", "out")
@@ -313,14 +313,26 @@ def cmd_solve(args) -> None:
 # -- rerun ------------------------------------------------------------------------
 
 
-_SUBCOMMANDS = {
-    "generate": cmd_generate,
-    "build": cmd_build,
-    "eval": cmd_eval,
-    "mds": cmd_mds,
-    "isomap": cmd_isomap,
-    "solve": cmd_solve,
-}
+def _command_line(parser: argparse.ArgumentParser, arguments: dict) -> list[str]:
+    """``arguments``, keyed by dest, as the command line that ``parser`` reads back
+    into them, so each is checked as a typed one is."""
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "out")}
+    argv, positionals = [], []
+    for dest, value in arguments.items():
+        if dest not in actions:
+            raise UsageError(f"run manifest records an unknown argument {dest!r}")
+        action = actions[dest]
+        opt = action.option_strings[0] if action.option_strings else None
+        if opt is None:
+            positionals.append(str(value))
+        elif action.nargs == 0:  # a flag: given when true, left out when false
+            argv += [opt] if value is True else [] if value is False else [f"{opt}={value}"]
+        elif isinstance(value, list):  # --images MIN MAX; an appended option once per item
+            append = isinstance(action, argparse._AppendAction)
+            argv += [f"{opt}={item}" for item in value] if append else [opt, *map(str, value)]
+        elif value is not None:  # None is the default
+            argv.append(f"{opt}={value}")  # one token, even for a value that starts with "-"
+    return [*argv, "--", *positionals] if positionals else argv
 
 
 def cmd_rerun(args) -> None:
@@ -329,24 +341,26 @@ def cmd_rerun(args) -> None:
         recorded = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read run manifest {manifest_path}: {exc}") from None
-    if recorded.get("tool") != PROG:
+    if not isinstance(recorded, dict) or recorded.get("tool") != PROG:
         raise UsageError(f"{manifest_path} was not written by {PROG}")
-    sub = recorded.get("subcommand")
-    if sub not in _SUBCOMMANDS:
+    sub, arguments = recorded.get("subcommand"), recorded.get("arguments", {})
+    parsers = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
+    if sub not in parsers or sub == "rerun":
         raise UsageError(f"manifest names unknown subcommand {sub!r}")
+    if not isinstance(arguments, dict):
+        raise UsageError(f"{manifest_path}: recorded arguments are not a JSON object")
     if recorded.get("version") != __version__:
         _note(
             f"note: manifest was written by version {recorded.get('version')}, "
             f"running {__version__}"
         )
-    replay = argparse.Namespace(**recorded.get("arguments", {}))
+    try:  # argparse prints what it refuses, as for a typed command
+        replay = parsers[sub].parse_args(["--out", args.out, *_command_line(parsers[sub], arguments)])
+    except SystemExit:
+        raise UsageError(f"{manifest_path} records arguments that {sub} refuses") from None
     replay.subcommand = sub
-    replay.out = args.out
     _note(f"re-running {sub} into {args.out}")
-    try:
-        _SUBCOMMANDS[sub](replay)
-    except AttributeError as exc:
-        raise UsageError(f"run manifest is missing a recorded argument: {exc}") from None
+    replay.func(replay)
 
 
 # -- parser ------------------------------------------------------------------------

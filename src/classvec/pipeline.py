@@ -24,10 +24,10 @@ from .manifold import DistanceMatrix
 from .vectors import (
     LayerManifest,
     SparseActivationVector,
-    _sq_norm,
+    _cosine_operand,
     _sums,
     apply_threshold,
-    cosine_similarity,
+    cosine_similarity,  # unused here; perfbench/probes.py counts calls to pipeline.cosine_similarity
     euclidean_distance,
     normalize_by_layer,
     normalize_whole,
@@ -38,7 +38,6 @@ AGGREGATION_MODES = ("arithmetic", "geometric", "harmonic")
 NORM_STAGES = ("image", "class", "none")
 NORM_SCOPES = ("layer", "whole", "none")
 DISTANCE_METRICS = ("cosine", "euclidean")
-_SQ_LO, _SQ_HI = np.sqrt(np.finfo(np.float64).tiny), np.sqrt(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,10 @@ class PipelineConfig:
         if (self.norm_stage == "none") != (self.norm_scope == "none"):
             raise ValidationError("norm_scope must be 'none' exactly when norm_stage is 'none'")
         if self.threshold is not None:
-            object.__setattr__(self, "threshold", float(self.threshold))
+            try:
+                object.__setattr__(self, "threshold", float(self.threshold))
+            except (TypeError, ValueError):
+                raise ValidationError(f"threshold must be a number, got {self.threshold!r}") from None
             if not 0 <= self.threshold < np.inf:
                 raise ValidationError(f"threshold must be finite and non-negative, got {self.threshold}")
         if self.groups is not None:
@@ -294,15 +296,15 @@ def build_distance_matrix(
 ) -> DistanceMatrix:
     """Pairwise distances between class vectors, rows sorted by class_id.
 
-    cosine distance is 1 - cosine_similarity, in [0, 1] for non-negative vectors;
-    euclidean is euclidean_distance. A non-zero row whose squared norm is not in
-    [_SQ_LO, _SQ_HI) would overflow or underflow the shared sums, so it enters
-    the _pack empty and each of its cells is the metric's pair function of its
-    two vectors. Every other cosine cell comes from _gram, 1 - cosine_similarity
-    bit for bit whatever the other rows; every other euclidean cell from the
-    _blocks, by explicit differences, never |a|^2 + |b|^2 - 2ab. The matrix is
-    exactly symmetric with a zero diagonal, identical vectors are exactly 0
-    apart, and a zero vector under cosine raises ZeroVectorError.
+    cosine distance is 1 - cosine_similarity, in [0, 1] for non-negative vectors,
+    bit for bit: every row is taken as cosine_similarity takes it (_cosine_operand)
+    and every cell comes from _gram. euclidean is euclidean_distance: a non-zero row
+    whose squared norm is not in [_SQ_LO, _SQ_HI) would overflow or underflow the
+    shared sums, so it enters the _pack empty and each of its cells is
+    euclidean_distance of its two vectors; every other cell comes from the _blocks,
+    by explicit differences, never |a|^2 + |b|^2 - 2ab. The matrix is exactly
+    symmetric with a zero diagonal, identical vectors are exactly 0 apart, and a
+    zero vector under cosine raises ZeroVectorError.
     """
     if metric not in DISTANCE_METRICS:
         raise ValidationError(f"metric must be one of {DISTANCE_METRICS}, got {metric!r}")
@@ -318,32 +320,28 @@ def build_distance_matrix(
         raise ManifestMismatchError("build_distance_matrix: vectors use different manifests")
     if metric == "cosine" and any(v.is_zero for v in vectors):
         raise ZeroVectorError("undefined cosine for zero vector")
-    extreme = [not (v.is_zero or _SQ_LO <= _sq_norm(v._values) < _SQ_HI) for v in vectors]
-    in_pack = [SparseActivationVector.empty(v.manifest) if out else v for v, out in zip(vectors, extreme)]
-    pack = _pack(in_pack)
     if metric == "cosine":
-        acc = _gram(*pack, in_pack)
-        sq = np.where(extreme, 1.0, acc.diagonal())  # an emptied row's cells are filled below
-        acc = 1.0 - np.minimum(1.0, acc / np.sqrt(np.outer(sq, sq)))
-    else:
-        # squared distances: einsum adds each cell's terms in one order at any BLAS thread count
-        acc = np.zeros((n, n))
-        for block in _blocks(*pack, vectors[0].manifest, n):
-            for i in range(n):
-                cols = np.flatnonzero(block[i])
-                if not cols.size:
-                    continue
-                x = block[i, cols]
-                diff = block[i + 1 :, cols] - x
-                acc[i, i + 1 :] += np.einsum("jk,jk->j", diff, diff)
-                # rows j < i: row i's entries where row j has none
-                acc[:i, i] += np.einsum("jk,k->j", block[:i, cols] == 0, x * x)
-        acc = np.sqrt(acc)
-    upper = np.triu(acc, 1)
-    pair = euclidean_distance if metric == "euclidean" else lambda a, b: 1.0 - cosine_similarity(a, b)
+        rows, sq = zip(*map(_cosine_operand, vectors))
+        upper = np.triu(1.0 - np.minimum(1.0, _gram(*_pack(rows), rows) / np.sqrt(np.outer(sq, sq))), 1)
+        return DistanceMatrix(labels, upper + upper.T)
+    extreme = [_cosine_operand(v)[0] is not v for v in vectors]  # the rows cosine would rescale
+    pack = _pack([SparseActivationVector.empty(v.manifest) if out else v for v, out in zip(vectors, extreme)])
+    # squared distances: einsum adds each cell's terms in one order at any BLAS thread count
+    acc = np.zeros((n, n))
+    for block in _blocks(*pack, vectors[0].manifest, n):
+        for i in range(n):
+            cols = np.flatnonzero(block[i])
+            if not cols.size:
+                continue
+            x = block[i, cols]
+            diff = block[i + 1 :, cols] - x
+            acc[i, i + 1 :] += np.einsum("jk,jk->j", diff, diff)
+            # rows j < i: row i's entries where row j has none
+            acc[:i, i] += np.einsum("jk,k->j", block[:i, cols] == 0, x * x)
+    upper = np.triu(np.sqrt(acc), 1)
     for i in np.flatnonzero(extreme).tolist():
         for j in range(n):
             if j > i or j < i and not extreme[j]:  # a pair of two such rows comes once
                 a, b = min(i, j), max(i, j)
-                upper[a, b] = pair(vectors[a], vectors[b])
+                upper[a, b] = euclidean_distance(vectors[a], vectors[b])
     return DistanceMatrix(labels, upper + upper.T)

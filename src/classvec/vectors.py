@@ -242,6 +242,8 @@ def _lock(arr: np.ndarray) -> np.ndarray:
 _EMPTY_KEYS = _lock(np.empty(0, dtype=np.int64))
 _EMPTY_VALUES = _lock(np.empty(0, dtype=np.float64))
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float
+# the product of two squared norms in [_SQ_LO, _SQ_HI) is a normal float
+_SQ_LO, _SQ_HI = np.sqrt(_TINY), np.sqrt(np.finfo(np.float64).max)
 
 
 class SparseActivationVector:
@@ -406,10 +408,15 @@ def dot(a: SparseActivationVector, b: SparseActivationVector) -> float:
         return float(_sums(a._values * _align(b._keys, b._values, a._keys))[0])
 
 
-def _sq_norm(values: np.ndarray) -> float:
-    """The plain sum of squares of flat values; callers check that it is a normal float."""
+def _cosine_operand(v: SparseActivationVector) -> tuple[SparseActivationVector, float]:
+    """v and its plain sum of squares as cosine takes them: at unit length when
+    that sum is out of [_SQ_LO, _SQ_HI), as an overflow to inf is."""
     with np.errstate(over="ignore"):
-        return float(_sums(values * values)[0])
+        sq = float(_sums(v._values * v._values)[0])
+    if _SQ_LO <= sq < _SQ_HI:
+        return v, sq
+    v = normalize_whole(v)
+    return v, float(_sums(v._values * v._values)[0])
 
 
 def _scaled_sq(values: np.ndarray, groups: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -445,16 +452,14 @@ def cosine_similarity(a: SparseActivationVector, b: SparseActivationVector) -> f
 
     The denominator is sqrt(|a|^2 * |b|^2): with a correctly rounded sqrt
     this makes cosine(v, v) exactly 1.0, and the top clamp absorbs any
-    remaining 1-ulp overshoot for near-parallel inputs. Vectors whose squared
-    norms or their product are not normal floats are scaled to unit length first.
+    remaining 1-ulp overshoot for near-parallel inputs. Each operand whose
+    squared norm is out of [_SQ_LO, _SQ_HI) is first scaled, on its own, to
+    unit length (_cosine_operand), as build_distance_matrix takes its rows.
     """
     _require_same_manifest(a, b, "cosine_similarity")
     if a.is_zero or b.is_zero:
         raise ZeroVectorError("undefined cosine for zero vector")
-    sq_a, sq_b = _sq_norm(a._values), _sq_norm(b._values)
-    if not all(_TINY <= sq < np.inf for sq in (sq_a, sq_b, sq_a * sq_b)):
-        a, b = normalize_whole(a), normalize_whole(b)
-        sq_a, sq_b = _sq_norm(a._values), _sq_norm(b._values)
+    (a, sq_a), (b, sq_b) = _cosine_operand(a), _cosine_operand(b)
     return min(1.0, dot(a, b) / float(np.sqrt(sq_a * sq_b)))
 
 

@@ -541,6 +541,27 @@ def test_rerun_rejects_foreign_manifest(tmp_path, capsys):
     assert "not written by" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("run, key, value", [
+    ("built", "threshold", "abc"),
+    ("built", "metric", "manhattan"),
+    ("dataset", "classes", "abc"),
+    ("dataset", "noise", "x"),
+    ("dataset", "seed", "s"),
+])
+def test_rerun_checks_recorded_arguments_as_the_command_line_does(run, key, value, request, tmp_path, capsys):
+    recorded = json.loads((request.getfixturevalue(run) / RUN_MANIFEST_NAME).read_text())
+    recorded["arguments"][key] = value
+    edited = tmp_path / "m.json"
+    edited.write_text(json.dumps(recorded))
+    out = tmp_path / "o"
+    code = main(["rerun", str(edited), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"argument --{key}: invalid" in err
+    assert "usage error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_rerun_rejects_missing_file(tmp_path, capsys):
     code = main(["rerun", str(tmp_path / "gone.json"), "--out", str(tmp_path / "o")])
     assert code == 2

@@ -63,6 +63,11 @@ class TestPipelineConfig:
         with pytest.raises(ValidationError, match="duplicates"):
             PipelineConfig(groups=("a", "a"))
 
+    @pytest.mark.parametrize("threshold", ["abc", [0.5], {}], ids=["str", "list", "dict"])
+    def test_threshold_that_is_not_a_number_is_a_validation_error(self, threshold):
+        with pytest.raises(ValidationError, match="threshold must be a number"):
+            PipelineConfig(threshold=threshold)
+
     def test_none_norm_is_consistent(self):
         cfg = PipelineConfig(norm_stage="none", norm_scope="none")
         assert cfg.norm_stage == "none"
@@ -501,33 +506,43 @@ class TestBuildDistanceMatrix:
 
     @pytest.mark.parametrize("metric", DISTANCE_METRICS)
     def test_only_pairs_with_an_out_of_range_row_use_the_pair_function(self, metric):
-        # under --norm none; one row's squared norm overflows and one underflows
+        # under --norm none: rows whose squared norms overflow or underflow. Cosine takes
+        # every row as cosine_similarity does, so only euclidean needs its pair function
         rng = np.random.default_rng(367)
         m = small_manifest()
-        vecs = [random_vector(rng, m) for _ in range(12)]
-        for k, s in ((3, 1e200), (8, 1e-170)):
-            layers = {lid: vecs[k].layer(lid) for lid in vecs[k].stored_layers}
-            vecs[k] = SparseActivationVector(m, {lid: (idx, val * s) for lid, (idx, val) in layers.items()})
-        embs = [ClassEmbedding(f"c{i:02d}", "s", v, 1) for i, v in enumerate(vecs)]
-        if metric == "cosine":
-            name, pair = "cosine_similarity", lambda a, b: 1.0 - cosine_similarity(a, b)
-        else:
-            name, pair = "euclidean_distance", euclidean_distance
-        with mock.patch.object(pipeline, name, wraps=getattr(pipeline, name)) as spy:
-            d = build_distance_matrix(embs, metric).values
-        row = {id(v): i for i, v in enumerate(vecs)}
-        calls = [frozenset(row[id(v)] for v in call.args) for call in spy.call_args_list]
-        n = len(vecs)
-        extreme = {frozenset((i, j)) for i in (3, 8) for j in range(n) if j != i}
-        assert len(calls) == len(extreme) == 2 * (n - 1) - 1
-        assert set(calls) == extreme
-        assert np.array_equal(d, d.T)
-        assert np.all(d.diagonal() == 0.0)
-        for i, j in itertools.combinations(range(n), 2):
-            if {i, j} & {3, 8}:
-                assert d[i, j] == pair(vecs[i], vecs[j]), (i, j)
-            else:
-                assert d[i, j] == pytest.approx(pair(vecs[i], vecs[j]), abs=1e-12), (i, j)
+        base = [random_vector(rng, m) for _ in range(12)]
+        n = len(base)
+        cases = [  # the scale of each out-of-range row, and euclidean's number of pair calls
+            ({3: 1e200, 8: 1e-170}, 2 * (n - 1) - 1),
+            (dict.fromkeys(range(n), 1e200), n * (n - 1) // 2),
+            (dict.fromkeys(range(n), 1e-170), n * (n - 1) // 2),
+        ]
+        name = "cosine_similarity" if metric == "cosine" else "euclidean_distance"
+        for scales, pair_calls in cases:
+            vecs = list(base)
+            for k, s in scales.items():
+                layers = {lid: vecs[k].layer(lid) for lid in vecs[k].stored_layers}
+                vecs[k] = SparseActivationVector(m, {lid: (idx, val * s) for lid, (idx, val) in layers.items()})
+            embs = [ClassEmbedding(f"c{i:02d}", "s", v, 1) for i, v in enumerate(vecs)]
+            with mock.patch.object(pipeline, name, wraps=getattr(pipeline, name)) as spy:
+                d = build_distance_matrix(embs, metric).values
+            row = {id(v): i for i, v in enumerate(vecs)}
+            calls = [frozenset(row[id(v)] for v in call.args) for call in spy.call_args_list]
+            assert np.array_equal(d, d.T)
+            assert np.all(d.diagonal() == 0.0)
+            if metric == "cosine":
+                assert not calls
+                for i, j in itertools.combinations(range(n), 2):
+                    assert d[i, j] == 1.0 - cosine_similarity(vecs[i], vecs[j]), (i, j)
+                continue
+            extreme = {frozenset((i, j)) for i in scales for j in range(n) if j != i}
+            assert len(calls) == len(extreme) == pair_calls
+            assert set(calls) == extreme
+            for i, j in itertools.combinations(range(n), 2):
+                if {i, j} & scales.keys():
+                    assert d[i, j] == euclidean_distance(vecs[i], vecs[j]), (i, j)
+                else:
+                    assert d[i, j] == pytest.approx(euclidean_distance(vecs[i], vecs[j]), abs=1e-12), (i, j)
 
     @settings(max_examples=150)
     @given(data=st.data())

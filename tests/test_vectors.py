@@ -439,9 +439,11 @@ class TestOperations:
 
 
 _TINY = float(np.finfo(np.float64).tiny)
+_SQ_LO, _SQ_HI = math.sqrt(_TINY), math.sqrt(sys.float_info.max)
 # at 1e-170, 1e-160, 1e160 and 1e300 squares or their sums overflow or are not
-# normal floats, so the rescaled sums run
-_SCALES = st.sampled_from([1e-170, 1e-160, 1e-3, 1.0, 1e3, 1e160, 1e300])
+# normal floats, so the rescaled sums run; at 1e-77 and 1e77 a squared norm
+# falls on either side of _SQ_LO or _SQ_HI, where cosine's scale rule turns
+_SCALES = st.sampled_from([1e-170, 1e-160, 1e-77, 1e-3, 1.0, 1e3, 1e77, 1e160, 1e300])
 
 
 @st.composite
@@ -486,10 +488,16 @@ def _reference_unit(entries: dict[int, float]) -> dict[int, float]:
 
 
 def _reference_cosine(a, b) -> float:
-    sq_a, sq_b = reference_dot(a, a), reference_dot(b, b)
-    if not all(_TINY <= sq < math.inf for sq in (sq_a, sq_b, sq_a * sq_b)):
-        a, b = (_vector(v.manifest, _reference_unit(flat_entries(v))) for v in (a, b))
-        sq_a, sq_b = reference_dot(a, a), reference_dot(b, b)
+    """Each operand at unit length, on its own, when its squared norm is out of [_SQ_LO, _SQ_HI)."""
+
+    def operand(v):
+        sq = reference_dot(v, v)
+        if not _SQ_LO <= sq < _SQ_HI:
+            v = _vector(v.manifest, _reference_unit(flat_entries(v)))
+            sq = reference_dot(v, v)
+        return v, sq
+
+    (a, sq_a), (b, sq_b) = operand(a), operand(b)
     return min(1.0, reference_dot(a, b) / math.sqrt(sq_a * sq_b))
 
 
