@@ -2,8 +2,9 @@
 
 Every subcommand records its resolved flags and input-file digests in
 ``run_manifest.json`` next to its outputs. ``rerun`` re-executes a recorded
-manifest into a fresh directory; because all stages are deterministic, the
-outputs -- manifest included -- come out byte-identical. Diagnostics go to
+manifest into a fresh directory, once every recorded input still has its
+recorded digest; because all stages are deterministic, the outputs --
+manifest included -- come out byte-identical. Diagnostics go to
 stderr, data to files; the exit code is 0 only when no error occurred
 (2 for usage errors, 1 otherwise).
 """
@@ -20,7 +21,7 @@ from . import __version__
 from . import io as cvio
 from .correlation import IC_MEASURES, SIMILARITY_MEASURES, evaluate_all
 from .equations import DEFAULT_TOP_K, apply_difference, solve_difference
-from .errors import ClassVecError, UnknownClassError
+from .errors import ClassVecError, UnknownClassError, ValidationError
 from .manifold import classical_mds, isomap
 from .pipeline import (
     AGGREGATION_MODES,
@@ -359,6 +360,17 @@ def cmd_rerun(args) -> None:
     except SystemExit:
         raise UsageError(f"{manifest_path} records arguments that {sub} refuses") from None
     replay.subcommand = sub
+    inputs = recorded.get("inputs", {})
+    if not isinstance(inputs, dict) or not all(
+        isinstance(e, dict) and isinstance(e.get("path"), str) for e in inputs.values()
+    ):
+        raise UsageError(f"{manifest_path}: recorded inputs are not path and sha256 objects")
+    for name, entry in inputs.items():
+        if sha256_file(entry["path"]) != entry.get("sha256"):
+            raise ValidationError(
+                f"input {name} {entry['path']} changed since the recorded run: "
+                "its SHA-256 no longer matches the run manifest"
+            )
     _note(f"re-running {sub} into {args.out}")
     replay.func(replay)
 

@@ -30,14 +30,14 @@ from .taxonomy import (
     similarity,
     similarity_matrices,
 )
-from .vectors import LayerManifest, restrict_to_groups
+from .util import locked
+from .vectors import LayerManifest, group_tags, restrict_to_groups
 
 # 40 bins of width 0.05 covering [-1, 1]; edges are exact multiples of 0.05
-HISTOGRAM_EDGES = np.array([(i - 20) / 20.0 for i in range(41)])
-HISTOGRAM_EDGES.setflags(write=False)
+HISTOGRAM_EDGES = locked(np.array([(i - 20) / 20.0 for i in range(41)]))
 
 
-def rank_with_ties(values, descending: bool = False) -> np.ndarray:
+def rank_with_ties(values) -> np.ndarray:
     """1-based fractional ranks; tied values share their average position.
 
     Ranks always sum to n(n+1)/2 exactly, because tie averages are halves
@@ -51,10 +51,7 @@ def rank_with_ties(values, descending: bool = False) -> np.ndarray:
     _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     average = starts + (counts + 1) / 2.0
-    ranks = average[inverse]
-    if descending:
-        ranks = (arr.size + 1) - ranks
-    return ranks
+    return average[inverse]
 
 
 def spearman_rho(x, y) -> float:
@@ -99,11 +96,10 @@ class RhoDistribution:
             raise ValidationError("distribution needs at least one class")
         if np.any(rhos < -1.0) or np.any(rhos > 1.0):
             raise ValidationError("rho values must lie in [-1, 1]")
-        rhos.setflags(write=False)
         self._measure = str(measure)
         self._corpus = str(corpus) if corpus is not None else None
         self._class_ids = class_ids
-        self._rhos = rhos
+        self._rhos = locked(rhos)
 
     @property
     def measure(self) -> str:
@@ -290,7 +286,7 @@ def layer_subset_sweep(
             label, cfg_groups = "all", None
             embeddings = unrestricted
         else:
-            cfg_groups = tuple(str(g) for g in groups)
+            cfg_groups = group_tags(groups)
             if not cfg_groups:
                 raise ValidationError("a sweep group set may not be empty")
             label = ",".join(cfg_groups)

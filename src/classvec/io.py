@@ -12,10 +12,10 @@ that is not valid UTF-8 is refused. Every tab-separated loader numbers its
 lines from 1, the trailing LF is dropped, a line that then ends in CR
 (a CRLF line ending) is refused, blank lines are skipped, and every other
 line must split at its tabs into the format's number of fields (one or two
-for highlight sets). CSV loaders read a header row, skip empty rows and
-require as many cells in every row as the header has. Every fault is a
-FormatError naming the path and line (line 1 for an empty file). Writers
-end every line, the last included, with LF.
+for highlight sets). The distance matrix CSV loader reads a header row,
+skips empty rows and requires as many cells in every row as the header has.
+Every fault is a FormatError naming the path and line (line 1 for an empty
+file). Writers end every line, the last included, with LF.
 
 Activations and class embeddings end in the same triplet field:
 
@@ -59,7 +59,8 @@ from .errors import FormatError, ValidationError
 from .manifold import DistanceMatrix, EmbeddingCoordinates
 from .pipeline import ClassEmbedding
 from .taxonomy import Taxonomy
-from .vectors import LayerManifest, SparseActivationVector, _lock
+from .util import locked
+from .vectors import LayerManifest, SparseActivationVector
 
 
 class ActivationRecord(NamedTuple):
@@ -135,14 +136,14 @@ def _tsv_rows(path, n_fields: int, expected: str) -> Iterator[tuple[int, list[st
         yield lineno, fields
 
 
-def _csv_rows(path, what: str) -> Iterator:
-    """The header row, then (line number, cells) of each non-empty row, read
-    one at a time; ``what`` names the file in the empty-file error. A row that
-    a quoted LF spreads over several lines is numbered by its last line."""
+def _csv_rows(path) -> Iterator:
+    """The header row, then (line number, cells) of each non-empty row of a
+    distance matrix CSV, read one at a time. A row that a quoted LF spreads
+    over several lines is numbered by its last line."""
     reader = csv.reader(_read_lines(path))
     header = next(reader, None)
     if header is None:
-        raise FormatError(path, 1, f"{what} is empty")
+        raise FormatError(path, 1, "distance matrix CSV is empty")
     yield header
     for row in reader:
         if not row:
@@ -217,7 +218,7 @@ def _reader_form(manifest: LayerManifest) -> tuple[np.dtype, np.ndarray]:
     share them. The layer field is one character wider than any id, so a cut id matches none."""
     width = max(len(spec.layer_id) for spec in manifest) + 1
     row = np.dtype([("layer", f"U{width}"), ("index", np.int64), ("value", np.float64)])
-    return row, _lock(np.array([spec.dim for spec in manifest], dtype=np.int64))
+    return row, locked(np.array([spec.dim for spec in manifest], dtype=np.int64))
 
 
 def _bulk_triplets(payloads: list[str], manifest: LayerManifest):
@@ -632,16 +633,14 @@ def write_distance_matrix_csv(matrix: DistanceMatrix, path) -> None:
     for label in matrix.labels:
         if "\r" in label:
             raise ValidationError(f"distance matrix label {label!r} contains CR")
-    # mirror the upper triangle so the file is exactly symmetric
-    vals = np.triu(matrix.values) + np.triu(matrix.values, 1).T
     # one % call formats a row; a %.9g cell never needs CSV quoting
     row_format = ",".join(["%.9g"] * matrix.size)
-    rows = (row_format % tuple(row.tolist()) for row in vals)
+    rows = (row_format % tuple(row.tolist()) for row in matrix.values)
     _write_lines(path, chain([_csv_line(matrix.labels)], rows))
 
 
 def load_distance_matrix_csv(path) -> DistanceMatrix:
-    reader = _csv_rows(path, "distance matrix CSV")
+    reader = _csv_rows(path)
     labels = next(reader)
     n = len(labels)
     # Rows fill one array that doubles as they come, up to n rows: a header
@@ -681,20 +680,6 @@ def write_coordinates_csv(coords: EmbeddingCoordinates, path) -> None:
         ["label", *axes],
         ([label, *(_fmt(v) for v in row)] for label, row in zip(coords.labels, coords.coords)),
     )
-
-
-def load_coordinates_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    reader = _csv_rows(path, "coordinates CSV")
-    next(reader)
-    labels = []
-    rows = []
-    for lineno, row in reader:
-        labels.append(row[0])
-        try:
-            rows.append([float(c) for c in row[1:]])
-        except ValueError:
-            raise FormatError(path, lineno, "non-numeric coordinate") from None
-    return tuple(labels), np.array(rows)
 
 
 def write_eigenvalues_csv(coords: EmbeddingCoordinates, path) -> None:

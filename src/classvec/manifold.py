@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ClassVecError, DisconnectedGraphError, ValidationError
+from .util import locked
 
 SYMMETRY_TOL = 1e-12
 EIGEN_RESIDUAL_TOL = 1e-9
@@ -33,16 +34,12 @@ GEODESIC_BLOCK = 16
 GEODESIC_ROUNDS = 16
 
 
-def _locked(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 class DistanceMatrix:
     """Dense symmetric matrix of non-negative distances with row labels.
 
     The diagonal must be exactly zero and asymmetry may not exceed 1e-12.
-    Values are stored read-only.
+    Values are stored read-only, with the lower triangle taken from the upper,
+    so both triangles give the same bits.
     """
 
     __slots__ = ("_labels", "_values", "_index")
@@ -69,8 +66,10 @@ class DistanceMatrix:
             asym = float(np.max(np.abs(vals - vals.T)))
             if asym > SYMMETRY_TOL:
                 raise ValidationError(f"distance matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
+            lower = np.tril_indices(n, -1)
+            vals[lower] = vals.T[lower]
         self._labels = labels
-        self._values = _locked(vals)
+        self._values = locked(vals)
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     @property
@@ -125,8 +124,8 @@ class EmbeddingCoordinates:
         if np.any(eigenvalues[: coords.shape[1]] <= 0):
             raise ValidationError("eigenvalues backing coordinate columns must be positive")
         self._labels = labels
-        self._coords = _locked(coords)
-        self._eigenvalues = _locked(eigenvalues)
+        self._coords = locked(coords)
+        self._eigenvalues = locked(eigenvalues)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -264,9 +263,9 @@ class NeighborGraph:
 
     def _assign(self, labels, indptr, indices, weights) -> None:
         self._labels = labels
-        self._indptr = _locked(indptr)
-        self._indices = _locked(indices)
-        self._weights = _locked(weights)
+        self._indptr = locked(indptr)
+        self._indices = locked(indices)
+        self._weights = locked(weights)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -339,8 +338,7 @@ def knn_graph(d: DistanceMatrix, k_neighbors: int) -> NeighborGraph:
     """Symmetric k-NN graph: edge kept if either endpoint lists the other.
 
     Neighbor ranking breaks distance ties by node index; edge weight is the
-    input distance read from the upper triangle so both directions agree
-    bitwise.
+    input distance, which is the same in both directions.
     """
     k_neighbors = int(k_neighbors)
     if k_neighbors < 1:
@@ -349,7 +347,7 @@ def knn_graph(d: DistanceMatrix, k_neighbors: int) -> NeighborGraph:
     picked = np.zeros((n, n), dtype=bool)
     picked[np.arange(n)[:, None], _neighbor_ranks(d, k_neighbors)] = True
     rows, cols = np.nonzero(picked | picked.T)  # row-major, so already CSR order
-    weights = d.values[np.minimum(rows, cols), np.maximum(rows, cols)]
+    weights = d.values[rows, cols]
     return NeighborGraph._from_csr(d.labels, np.searchsorted(rows, np.arange(n + 1)), cols, weights)
 
 

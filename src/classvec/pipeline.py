@@ -29,6 +29,7 @@ from .vectors import (
     apply_threshold,
     cosine_similarity,  # unused here; perfbench/probes.py counts calls to pipeline.cosine_similarity
     euclidean_distance,
+    group_tags,
     normalize_by_layer,
     normalize_whole,
     restrict_to_groups,
@@ -70,32 +71,12 @@ class PipelineConfig:
             if not 0 <= self.threshold < np.inf:
                 raise ValidationError(f"threshold must be finite and non-negative, got {self.threshold}")
         if self.groups is not None:
-            groups = tuple(str(g) for g in self.groups)
+            groups = group_tags(self.groups)
             if not groups:
                 raise ValidationError("groups, when given, must be non-empty")
             if len(set(groups)) != len(groups):
                 raise ValidationError("groups contains duplicates")
             object.__setattr__(self, "groups", groups)
-
-    def to_dict(self) -> dict:
-        return {
-            "aggregation": self.aggregation,
-            "norm_stage": self.norm_stage,
-            "norm_scope": self.norm_scope,
-            "threshold": self.threshold,
-            "groups": list(self.groups) if self.groups is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "PipelineConfig":
-        known = {"aggregation", "norm_stage", "norm_scope", "threshold", "groups"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        if kwargs.get("groups") is not None:
-            kwargs["groups"] = tuple(kwargs["groups"])
-        return cls(**kwargs)
 
 
 DEFAULT_CONFIG = PipelineConfig()

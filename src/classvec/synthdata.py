@@ -40,6 +40,7 @@ that shapes the bytes, changes.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -59,6 +60,14 @@ GENERATOR_VERSION = 2
 MAX_BACKGROUND = 5
 
 
+def _whole(name: str, value) -> int:
+    """An integer field's value as an int; a float, even a whole one, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Knobs for one synthetic dataset; equal specs give identical bytes."""
@@ -73,12 +82,16 @@ class GeneratorSpec:
     manifest: LayerManifest | None = None
 
     def __post_init__(self):
+        for name in ("seed", "n_classes", "block_size", "branching"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.n_classes < 2:
             raise ValidationError(f"need at least 2 classes, got {self.n_classes}")
-        lo, hi = self.images_per_class
-        if not (1 <= int(lo) <= int(hi)):
+        lo, hi = (_whole("images_per_class", n) for n in self.images_per_class)
+        if not (1 <= lo <= hi):
             raise ValidationError(f"bad images_per_class range {self.images_per_class}")
-        object.__setattr__(self, "images_per_class", (int(lo), int(hi)))
+        object.__setattr__(self, "images_per_class", (lo, hi))
         if self.block_size < 1:
             raise ValidationError(f"block_size must be >= 1, got {self.block_size}")
         if not 0 <= self.noise_scale < np.inf:

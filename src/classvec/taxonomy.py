@@ -129,14 +129,6 @@ class Taxonomy:
         """All hypernyms of the synset, itself included."""
         return frozenset(self._updist[self._require(synset)])
 
-    def up_distance(self, synset: str, ancestor: str) -> int:
-        """Minimal edge count climbing from synset to one of its ancestors."""
-        self._require(ancestor)
-        got = self._updist[self._require(synset)].get(ancestor)
-        if got is None:
-            raise TaxonomyError(f"{ancestor!r} is not an ancestor of {synset!r}")
-        return got
-
     def lcs(self, a: str, b: str) -> str:
         """Deepest common subsumer; depth ties go to the smallest synset_id."""
         common = self._updist[self._require(a)].keys() & self._updist[self._require(b)].keys()

@@ -5,6 +5,12 @@ from __future__ import annotations
 import hashlib
 
 
+def locked(arr):
+    """``arr`` made read-only, for arrays an object exposes but must keep as built."""
+    arr.setflags(write=False)
+    return arr
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:

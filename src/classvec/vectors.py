@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
+from .util import locked
 
 
 class LayerSpec(NamedTuple):
@@ -65,7 +66,7 @@ class LayerManifest:
                 groups.append(spec.group)
         self._layers = specs
         self._position = position
-        self._starts = _lock(np.array(starts, dtype=np.int64))  # by manifest position
+        self._starts = locked(np.array(starts, dtype=np.int64))  # by manifest position
         self._total_dim = total
         self._groups = tuple(groups)
         payload = "\n".join(f"{s.layer_id}\t{s.group}\t{s.dim}" for s in specs)
@@ -107,16 +108,13 @@ class LayerManifest:
         except KeyError:
             raise ValidationError(f"unknown layer_id {layer_id!r}") from None
 
-    def dim_of(self, layer_id: str) -> int:
-        return self.spec_of(layer_id).dim
-
     def offset_of(self, layer_id: str) -> int:
         self.spec_of(layer_id)
         return int(self._starts[self._position[layer_id]])
 
     def layers_in_groups(self, groups: Iterable[str]) -> tuple[str, ...]:
         """Layer ids whose group tag is in ``groups``, manifest order."""
-        wanted = set(groups)
+        wanted = set(group_tags(groups))
         unknown = wanted - set(self._groups)
         if unknown:
             raise ValidationError(f"unknown group tags: {sorted(unknown)}")
@@ -138,6 +136,14 @@ class LayerManifest:
 
     def __repr__(self) -> str:
         return f"LayerManifest({self.describe()})"
+
+
+def group_tags(groups: Iterable[str]) -> tuple[str, ...]:
+    """A groups argument as a tuple of tags. A bare string is refused: read as
+    an iterable, "4a" would name the groups "4" and "a"."""
+    if isinstance(groups, str):
+        raise ValidationError(f"groups must be a collection of group tags, not the string {groups!r}")
+    return tuple(str(g) for g in groups)
 
 
 _INT64_END = 2.0**63  # int64 holds the whole numbers in [-_INT64_END, _INT64_END)
@@ -234,13 +240,8 @@ def _flat_entries(
     return key, val
 
 
-def _lock(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-_EMPTY_KEYS = _lock(np.empty(0, dtype=np.int64))
-_EMPTY_VALUES = _lock(np.empty(0, dtype=np.float64))
+_EMPTY_KEYS = locked(np.empty(0, dtype=np.int64))
+_EMPTY_VALUES = locked(np.empty(0, dtype=np.float64))
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float
 # the product of two squared norms in [_SQ_LO, _SQ_HI) is a normal float
 _SQ_LO, _SQ_HI = np.sqrt(_TINY), np.sqrt(np.finfo(np.float64).max)
@@ -289,8 +290,8 @@ class SparseActivationVector:
             idx, val = np.concatenate(idx_parts), np.concatenate(val_parts)
             keys, values = _flat_entries(manifest, pos, idx, val)
         self.manifest = manifest
-        self._keys = _lock(keys)
-        self._values = _lock(values)
+        self._keys = locked(keys)
+        self._values = locked(values)
 
     @classmethod
     def _trusted(cls, manifest: LayerManifest, keys: np.ndarray, values: np.ndarray):
@@ -299,8 +300,8 @@ class SparseActivationVector:
         Both arrays are locked here."""
         v = object.__new__(cls)
         v.manifest = manifest
-        v._keys = _lock(keys)
-        v._values = _lock(values)
+        v._keys = locked(keys)
+        v._values = locked(values)
         return v
 
     @classmethod
@@ -328,7 +329,7 @@ class SparseActivationVector:
         p = self.manifest._position[layer_id]
         lo, hi = self._bounds()[p : p + 2]
         # a locked array that owns its data could be unlocked again; a view of it cannot
-        idx = _lock(self._keys[lo:hi] - self.manifest._starts[p])[:]
+        idx = locked(self._keys[lo:hi] - self.manifest._starts[p])[:]
         return idx, self._values[lo:hi]
 
     @property

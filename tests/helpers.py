@@ -126,7 +126,7 @@ def reference_parse_triplets(manifest: LayerManifest, payload: str):
             i, v = int(i_text), float(v_text)
         except ValueError:
             return f"malformed triplet {token!r}"
-        dim = manifest.dim_of(lid)
+        dim = manifest.spec_of(lid).dim
         if i < 0 or i >= dim:
             return f"layer {lid!r}: index {i} out of range (dim {dim})"
         if math.isnan(v) or math.isinf(v) or v < 0:

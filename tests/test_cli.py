@@ -533,6 +533,31 @@ def test_readme_cli_example_runs_and_reruns_byte_identically(tmp_path, monkeypat
         assert read_tree(replay) == read_tree(Path(argv[2]).parent), argv
 
 
+def test_readme_library_quickstart_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert re.search(r"^mean Spearman rho vs path similarity: 0\.\d{3}$", capsys.readouterr().out, re.M)
+
+
+def test_rerun_refuses_an_input_changed_since_the_recorded_run(tmp_path, capsys):
+    data, built = tmp_path / "data", tmp_path / "built"
+    assert main(["generate", "--out", str(data), "--seed", "3", "--classes", "6", "--images", "2", "3"]) == 0
+    assert main([
+        "build", "--activations", str(data / "activations.tsv"), "--manifest", str(data / "manifest.tsv"),
+        "--class-map", str(data / "class_map.tsv"), "--out", str(built),
+    ]) == 0
+    activations = data / "activations.tsv"
+    activations.write_text(activations.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "again"
+    assert main(["rerun", str(built / RUN_MANIFEST_NAME), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"classvec: error: input activations {activations} changed since the recorded run")
+    assert not out.exists()
+
+
 def test_rerun_rejects_foreign_manifest(tmp_path, capsys):
     bad = tmp_path / "m.json"
     bad.write_text(json.dumps({"tool": "other", "subcommand": "build"}))

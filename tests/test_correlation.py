@@ -27,16 +27,13 @@ from helpers import random_dag_edges
 Rec = namedtuple("Rec", "image_id class_id vector")
 
 
-def rank_oracle(values, descending=False):
-    """O(n^2) comparison counting: 1 + better-count + half the tie count."""
+def rank_oracle(values):
+    """O(n^2) comparison counting: 1 + smaller-count + half the tie count."""
     out = []
     for v in values:
-        if descending:
-            better = sum(1 for w in values if w > v)
-        else:
-            better = sum(1 for w in values if w < v)
+        smaller = sum(1 for w in values if w < v)
         ties = sum(1 for w in values if w == v) - 1
-        out.append(1.0 + better + ties / 2.0)
+        out.append(1.0 + smaller + ties / 2.0)
     return np.array(out)
 
 
@@ -48,9 +45,6 @@ def spearman_oracle(x, y):
 
 
 class TestRankWithTies:
-    def test_basic_descending(self):
-        assert rank_with_ties([3, 1, 2], descending=True).tolist() == [1.0, 3.0, 2.0]
-
     def test_basic_ascending(self):
         assert rank_with_ties([3, 1, 2]).tolist() == [3.0, 1.0, 2.0]
 
@@ -64,9 +58,7 @@ class TestRankWithTies:
         rng = np.random.default_rng(401)
         for _ in range(50):
             vals = rng.integers(0, 6, size=30).astype(float)
-            for descending in (False, True):
-                got = rank_with_ties(vals, descending=descending)
-                assert np.array_equal(got, rank_oracle(vals, descending=descending))
+            assert np.array_equal(rank_with_ties(vals), rank_oracle(vals))
 
     def test_ranks_sum_exactly(self):
         rng = np.random.default_rng(409)
@@ -414,6 +406,17 @@ class TestLayerSubsetSweep:
                 self.records,
                 PipelineConfig(),
                 [],
+                self.taxonomy,
+                self.class_map,
+                self.manifest,
+            )
+
+    def test_string_group_set_rejected(self):
+        with pytest.raises(ValidationError, match="not the string 'mid'"):
+            layer_subset_sweep(
+                self.records,
+                PipelineConfig(),
+                [("low",), "mid"],
                 self.taxonomy,
                 self.class_map,
                 self.manifest,

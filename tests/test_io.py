@@ -34,6 +34,7 @@ from classvec import (
     ValidationError,
     build_class_embeddings,
     classical_mds,
+    evaluate_all,
 )
 from helpers import random_vector, reference_parse_triplets, small_manifest
 
@@ -81,10 +82,6 @@ SHAPES = {
     "distance-csv": (
         cvio.load_distance_matrix_csv, "a,b", "0", "expected 2 cells, got 1",
         "distance matrix CSV is empty",
-    ),
-    "coordinates-csv": (
-        cvio.load_coordinates_csv, "label,x,y", "p0,1.0,2.0,3.0", "expected 3 cells, got 4",
-        "coordinates CSV is empty",
     ),
 }
 
@@ -714,7 +711,7 @@ def test_triplet_round_trip_property(case, data):
             triplets = []
             for lid, (idx, val) in entries.items():
                 triplets += [f"{lid}:{i}:{v!r}" for i, v in zip(idx, val)]
-                free = sorted(set(range(m.dim_of(lid))) - set(idx))
+                free = sorted(set(range(m.spec_of(lid).dim)) - set(idx))
                 if free:
                     triplets += [f"{lid}:{i}:0.0" for i in data.draw(st.sets(st.sampled_from(free)))]
             lines.append(" ".join(data.draw(st.permutations(triplets))))
@@ -1070,7 +1067,7 @@ def distance_matrices(draw):
     values = np.zeros((n, n))
     for i, j in itertools.combinations(range(n), 2):
         values[i, j] = draw(cell)
-        # the lower triangle may differ within the tolerance; the writer mirrors the upper one
+        # the lower triangle may differ within the tolerance; the matrix keeps the upper one
         values[j, i] = values[i, j] + draw(st.sampled_from([0.0, 1e-13]))
     label = st.text(st.characters(codec="utf-8", exclude_characters="\r"), max_size=4)
     labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
@@ -1096,6 +1093,27 @@ def test_distance_csv_labels_round_trip_except_cr(tmp_path):
     with pytest.raises(ValidationError, match="contains CR"):
         cvio.write_distance_matrix_csv(DistanceMatrix(["a\rb", "c"], [[0, 1], [1, 0]]), tmp_path / "cr.csv")
     assert not (tmp_path / "cr.csv").exists()
+
+
+def test_matrix_and_its_csv_give_the_same_rhos(tmp_path):
+    # every cell is exact at 9 digits; row c's lower cell for a is 1e-13 off,
+    # which would break its tie between a and b if both triangles were kept
+    upper = np.array([
+        [0.0, 0.75, 0.5, 0.75],
+        [0.0, 0.0, 0.5, 0.25],
+        [0.0, 0.0, 0.0, 0.75],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    values = upper + upper.T
+    values[2, 0] += 1e-13
+    m = DistanceMatrix(["a", "b", "c", "d"], values)
+    assert np.array_equal(m.values, upper + upper.T)
+    cvio.write_distance_matrix_csv(m, tmp_path / "d.csv")
+    loaded = cvio.load_distance_matrix_csv(tmp_path / "d.csv")
+    taxonomy = Taxonomy([("p", "root"), ("q", "root"), ("a", "p"), ("c", "p"), ("b", "q"), ("d", "q")])
+    for here, there in zip(evaluate_all(m, taxonomy), evaluate_all(loaded, taxonomy)):
+        assert here.label == there.label
+        assert np.array_equal(here.rhos, there.rhos)
 
 
 def test_distance_csv_thousand_classes_match_the_cell_by_cell_writer(tmp_path):
@@ -1135,11 +1153,11 @@ def test_coordinates_csv_round_trip_exact(tmp_path):
     coords = coords_fixture()
     p = tmp_path / "coords.csv"
     cvio.write_coordinates_csv(coords, p)
-    labels, values = cvio.load_coordinates_csv(p)
-    assert labels == coords.labels
-    assert np.array_equal(values, coords.coords)
-    header = p.read_text(encoding="utf-8").splitlines()[0]
-    assert header == "label,x,y"
+    with open(p, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["label", "x", "y"]
+    assert tuple(row[0] for row in rows) == coords.labels
+    assert np.array_equal([[float(c) for c in row[1:]] for row in rows], coords.coords)
 
 
 def test_coordinates_csv_wide_axis_names(tmp_path):

@@ -62,6 +62,8 @@ class TestPipelineConfig:
             PipelineConfig(groups=())
         with pytest.raises(ValidationError, match="duplicates"):
             PipelineConfig(groups=("a", "a"))
+        with pytest.raises(ValidationError, match="not the string '4a'"):
+            PipelineConfig(groups="4a")  # not the groups "4" and "a"
 
     @pytest.mark.parametrize("threshold", ["abc", [0.5], {}], ids=["str", "list", "dict"])
     def test_threshold_that_is_not_a_number_is_a_validation_error(self, threshold):
@@ -71,18 +73,6 @@ class TestPipelineConfig:
     def test_none_norm_is_consistent(self):
         cfg = PipelineConfig(norm_stage="none", norm_scope="none")
         assert cfg.norm_stage == "none"
-
-    def test_dict_roundtrip(self):
-        cfg = PipelineConfig(
-            aggregation="geometric",
-            norm_stage="image",
-            norm_scope="whole",
-            threshold=0.25,
-            groups=("mid",),
-        )
-        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
-        with pytest.raises(ValidationError, match="unknown config"):
-            PipelineConfig.from_dict({"aggregation": "arithmetic", "metric": "cosine"})
 
 
 class TestAggregate:

@@ -60,6 +60,16 @@ def test_spec_validation():
             GeneratorSpec(noise_scale=noise)
     with pytest.raises(ValidationError, match="branching"):
         GeneratorSpec(branching=1)
+    for field, value in (
+        ("n_classes", 2.5),
+        ("branching", 2.5),
+        ("block_size", 1.5),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("images_per_class", (1.7, 2.2)),
+    ):
+        with pytest.raises(ValidationError, match=field):
+            GeneratorSpec(**{field: value})
     for weight in (-1.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="finite and non-negative"):
             GeneratorSpec(group_weights={"3a": weight})

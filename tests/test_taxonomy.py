@@ -89,7 +89,6 @@ class TestTaxonomyStructure:
         )
         assert t.depth("deep") == 3
         assert t.ancestors("deep") == {"deep", "low", "mid", "root"}
-        assert t.up_distance("deep", "root") == 2
 
     def test_lcs_basics(self, zoo):
         assert zoo.lcs("dog", "dog") == "dog"

@@ -66,6 +66,15 @@ class TestLayerManifest:
         with pytest.raises(ValidationError, match="unknown group"):
             small_manifest().layers_in_groups(["nope"])
 
+    def test_bare_string_is_not_a_list_of_groups(self):
+        m = LayerManifest([("x", "4a", 2), ("y", "a", 2), ("z", "4", 2)])
+        assert m.layers_in_groups(["4a"]) == ("x",)
+        v = SparseActivationVector(m, {"x": ([0], [1.0]), "y": ([0], [2.0]), "z": ([1], [3.0])})
+        with pytest.raises(ValidationError, match="not the string '4a'"):
+            m.layers_in_groups("4a")
+        with pytest.raises(ValidationError, match="not the string '4a'"):
+            restrict_to_groups(v, "4a")
+
     def test_duplicate_layer_rejected(self):
         with pytest.raises(ManifestError, match="duplicate"):
             LayerManifest([("x", "g", 4), ("x", "g", 4)])
@@ -235,7 +244,7 @@ class TestConstruction:
         entries = {}
         dense = np.zeros(m.total_dim)
         for lid in layer_ids[: data.draw(st.integers(0, len(m)))]:
-            dim = m.dim_of(lid)
+            dim = m.spec_of(lid).dim
             idx = data.draw(st.lists(st.integers(0, dim - 1), max_size=dim, unique=True))
             val = [data.draw(st.sampled_from([0.0, 1e-300, 0.5, 3.0, 1e300])) for _ in idx]
             dense[m.offset_of(lid) + np.array(idx, dtype=np.int64)] = val
@@ -243,7 +252,7 @@ class TestConstruction:
         v = SparseActivationVector(m, entries)
         assert np.array_equal(densify(v), dense)
         assert v.stored_layers == tuple(
-            lid for lid in m.layer_ids if dense[m.offset_of(lid) : m.offset_of(lid) + m.dim_of(lid)].any()
+            lid for lid in m.layer_ids if dense[m.offset_of(lid) : m.offset_of(lid) + m.spec_of(lid).dim].any()
         )
         for lid in v.stored_layers:
             idx, val = v.layer(lid)
@@ -644,7 +653,7 @@ def layer_mask(m: LayerManifest, layer_ids) -> np.ndarray:
     """True on the coordinates of the given layers."""
     mask = np.zeros(m.total_dim, dtype=bool)
     for lid in layer_ids:
-        mask[m.offset_of(lid) : m.offset_of(lid) + m.dim_of(lid)] = True
+        mask[m.offset_of(lid) : m.offset_of(lid) + m.spec_of(lid).dim] = True
     return mask
 
 
