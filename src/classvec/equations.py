@@ -16,6 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .pipeline import ClassEmbedding
+from .util import whole
 from .vectors import SparseActivationVector, cosine_similarity, subtract
 
 DEFAULT_TOP_K = 6
@@ -96,7 +97,7 @@ def nearest_classes(
     Ties break toward the smaller class_id. Excluded ids are silently
     skipped; at most top_k neighbors are returned.
     """
-    top_k = int(top_k)
+    top_k = whole("top_k", top_k)
     if top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {top_k}")
     if v.is_zero:

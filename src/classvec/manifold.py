@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ClassVecError, DisconnectedGraphError, ValidationError
-from .util import locked
+from .util import locked, whole
 
 SYMMETRY_TOL = 1e-12
 EIGEN_RESIDUAL_TOL = 1e-9
@@ -162,30 +162,27 @@ def classical_mds(d: DistanceMatrix, k: int) -> EmbeddingCoordinates:
     deterministic. If fewer than k eigenvalues are positive, a warning is
     issued and only the positive ones become columns.
 
-    The eigendecomposition runs in LAPACK through np.linalg.eigh, whose last
-    bits depend on the BLAS thread count, so the coordinates and eigenvalues
-    are bit-reproducible only at a fixed thread count.
+    B is formed elementwise from the row means r of D^2 (its column means
+    too, as D^2 is symmetric): b_ij = -1/2 * (d_ij^2 - (r_i + r_j) + mean(r)).
+    The only LAPACK/BLAS step is np.linalg.eigh, whose last bits depend on
+    the BLAS thread count and kernel, so the coordinates and eigenvalues are
+    bit-reproducible only on one host and BLAS build at a fixed thread count.
     """
-    k = int(k)
+    k = whole("k", k)
     if k < 1:
-        raise ValidationError(f"embedding dimension must be >= 1, got {k}")
-    n = d.size
-    # the bits of np.eye(n) - np.full((n, n), 1.0 / n), built in one array
-    centering = np.full((n, n), -1.0 / n)
-    centering.flat[:: n + 1] = 1.0 - 1.0 / n
-    b = centering @ (d.values * d.values)
-    b = b @ centering
-    del centering
+        raise ValidationError(f"embedding dimension k must be >= 1, got {k}")
+    b = d.values * d.values
+    r = b.mean(axis=1)
+    # D^2 is exactly symmetric and r_i + r_j rounds as r_j + r_i, so B is exactly
+    # symmetric; subtracting r[:, None] and r one after the other would not be
+    b -= r[:, None] + r
+    b += r.mean()
     b *= -0.5
-    for i in range(n):  # kill rounding asymmetry before eigh, a row at a time
-        row = (b[i, i:] + b[i:, i]) / 2.0
-        b[i, i:] = row
-        b[i:, i] = row
     eigvals, eigvecs = np.linalg.eigh(b)
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]
 
-    tol = 1e-12 * float(np.max(np.abs(eigvals))) if n > 0 else 0.0
+    tol = 1e-12 * float(np.max(np.abs(eigvals)))
     n_pos = int(np.sum(eigvals > tol))
     m = min(k, n_pos)
     if m < k:
@@ -340,7 +337,7 @@ def knn_graph(d: DistanceMatrix, k_neighbors: int) -> NeighborGraph:
     Neighbor ranking breaks distance ties by node index; edge weight is the
     input distance, which is the same in both directions.
     """
-    k_neighbors = int(k_neighbors)
+    k_neighbors = whole("k_neighbors", k_neighbors)
     if k_neighbors < 1:
         raise ValidationError(f"k_neighbors must be >= 1, got {k_neighbors}")
     n = d.size
@@ -500,10 +497,11 @@ def isomap(
     the largest component (ties broken toward the lowest-index node) and a
     warning reports how many points were dropped.
 
-    The geodesics are bit-reproducible; the embedding is so only at a fixed
-    BLAS thread count, as classical_mds explains.
+    The geodesics are bit-reproducible; the embedding is so only on one host
+    and BLAS build at a fixed BLAS thread count, as classical_mds explains.
     """
-    if int(dims) < 1:
+    dims = whole("dims", dims)
+    if dims < 1:
         raise ValidationError(f"dims must be >= 1, got {dims}")
     graph = knn_graph(d, k_neighbors)
     comps = graph.components()

@@ -40,7 +40,6 @@ that shapes the bytes, changes.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -49,6 +48,7 @@ import numpy as np
 
 from . import io as cvio
 from .errors import ValidationError
+from .util import whole
 from .vectors import LayerManifest, SparseActivationVector
 
 DEFAULT_GROUPS = ("3a", "3b", "4a", "4b", "4c", "4d", "4e", "5a", "5b")
@@ -58,14 +58,6 @@ RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 GENERATOR_VERSION = 2
 # Background entries per image x layer are drawn from 2..MAX_BACKGROUND.
 MAX_BACKGROUND = 5
-
-
-def _whole(name: str, value) -> int:
-    """An integer field's value as an int; a float, even a whole one, is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -83,25 +75,40 @@ class GeneratorSpec:
 
     def __post_init__(self):
         for name in ("seed", "n_classes", "block_size", "branching"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.n_classes < 2:
             raise ValidationError(f"need at least 2 classes, got {self.n_classes}")
-        lo, hi = (_whole("images_per_class", n) for n in self.images_per_class)
+        try:
+            lo, hi = self.images_per_class
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"images_per_class must be a (min, max) pair, got {self.images_per_class!r}"
+            ) from None
+        lo, hi = whole("images_per_class", lo), whole("images_per_class", hi)
         if not (1 <= lo <= hi):
             raise ValidationError(f"bad images_per_class range {self.images_per_class}")
         object.__setattr__(self, "images_per_class", (lo, hi))
         if self.block_size < 1:
             raise ValidationError(f"block_size must be >= 1, got {self.block_size}")
+        try:
+            object.__setattr__(self, "noise_scale", float(self.noise_scale))
+        except (TypeError, ValueError):
+            raise ValidationError(f"noise_scale must be a number, got {self.noise_scale!r}") from None
         if not 0 <= self.noise_scale < np.inf:
             raise ValidationError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.branching < 2:
             raise ValidationError(f"branching must be >= 2, got {self.branching}")
         if self.group_weights is not None:
-            weights = {str(g): float(w) for g, w in self.group_weights.items()}
+            try:
+                weights = {str(g): float(w) for g, w in self.group_weights.items()}
+            except (AttributeError, TypeError, ValueError):
+                raise ValidationError(
+                    f"group_weights must map groups to numbers, got {self.group_weights!r}"
+                ) from None
             if any(not 0 <= w < np.inf for w in weights.values()):
-                raise ValidationError("group weights must be finite and non-negative")
+                raise ValidationError("group_weights must be finite and non-negative")
             object.__setattr__(self, "group_weights", weights)
         # the largest value a spec can draw: a signal entry of its heaviest group at
         # the top of the jitter, or a background entry; _quantize scales it by 1e4

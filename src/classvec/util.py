@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import hashlib
+import operator
+
+from .errors import ValidationError
 
 
 def locked(arr):
     """``arr`` made read-only, for arrays an object exposes but must keep as built."""
     arr.setflags(write=False)
     return arr
+
+
+def whole(name: str, value) -> int:
+    """A count's value as an int; a float, even a whole one, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def sha256_file(path) -> str:

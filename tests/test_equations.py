@@ -93,8 +93,11 @@ class TestNearestClasses:
     def test_bad_top_k_rejected(self):
         m = small_manifest()
         v = block_vector(m, "a1", [0])
-        with pytest.raises(ValidationError, match="top_k"):
+        with pytest.raises(ValidationError, match="top_k must be >= 1"):
             nearest_classes(v, [emb("c0", v)], top_k=0)
+        for top_k in (2.9, 1.0, "x"):
+            with pytest.raises(ValidationError, match="top_k must be an integer"):
+                nearest_classes(v, [emb("c0", v)], top_k=top_k)
 
 
 class TestSolveDifference:

@@ -118,6 +118,24 @@ class TestClassicalMDS:
             resid = float(np.linalg.norm(b @ vec - lam * vec))
             assert resid <= 1e-9 * float(np.linalg.norm(b))
 
+    @pytest.mark.parametrize("metric", ["euclidean", "non-euclidean"])
+    def test_spectrum_matches_the_centering_matmul(self, metric):
+        """Every eigenvalue written, not only those behind the columns, against
+        eigvalsh of B formed with an explicit centering matrix."""
+        rng = np.random.default_rng(113)
+        if metric == "euclidean":
+            d = euclidean_dmatrix(rng.random((30, 3)))
+        else:
+            d = random_dyadic_dmatrix(rng, 30)
+        n = d.size
+        centering = np.eye(n) - np.full((n, n), 1.0 / n)
+        b = -0.5 * centering @ (d.values**2) @ centering
+        want = np.linalg.eigvalsh((b + b.T) / 2)[::-1]
+        assert (want[-1] < -1e-6 * want[0]) == (metric == "non-euclidean")
+        emb = classical_mds(d, 2)
+        assert emb.eigenvalues.shape == (n,)
+        assert np.max(np.abs(emb.eigenvalues - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_warns_when_not_enough_positive_eigenvalues(self):
         d = DistanceMatrix(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         with pytest.warns(UserWarning, match="positive eigenvalues"):
@@ -143,8 +161,11 @@ class TestClassicalMDS:
 
     def test_bad_k_rejected(self):
         d = DistanceMatrix(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="k must be >= 1"):
             classical_mds(d, 0)
+        for k in (2.7, 1.0, "x"):
+            with pytest.raises(ValidationError, match="k must be an integer"):
+                classical_mds(d, k)
 
 
 class TestNeighborGraph:
@@ -366,6 +387,22 @@ class TestIsomap:
             checked += 1
         assert checked >= 15
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("k_neighbors", 0, ">= 1"),
+            ("k_neighbors", 10.9, "an integer"),
+            ("k_neighbors", "x", "an integer"),
+            ("dims", 0, ">= 1"),
+            ("dims", 2.0, "an integer"),
+            ("dims", "x", "an integer"),
+        ],
+    )
+    def test_bad_counts_rejected(self, field, value, match):
+        d = euclidean_dmatrix(np.arange(12.0)[:, None])
+        with pytest.raises(ValidationError, match=f"{field} must be {match}"):
+            isomap(d, **{field: value})
+
     def test_chain_geodesics_sum_consecutive_gaps(self):
         xs = np.cumsum([0.0, 1.0, 1.25, 1.5, 1.75])
         d = euclidean_dmatrix(xs[:, None])
@@ -402,10 +439,10 @@ SQUARE_ARRAY_BOUNDS = [
     pytest.param(lambda x: knn_graph(x["d"], 10), 1.5, id="knn-graph"),
     # the filled matrix and DistanceMatrix's copy
     pytest.param(lambda x: geodesic_matrix(x["graph"]), 2.5, id="geodesic-matrix"),
-    # centering, B and the product of the second matmul
-    pytest.param(lambda x: classical_mds(x["d"], 2), 3.5, id="classical-mds"),
-    # the geodesic matrix plus classical_mds's three
-    pytest.param(lambda x: isomap(x["d"], 10, 2), 4.5, id="isomap"),
+    # B and the r_i + r_j temporary subtracted from it
+    pytest.param(lambda x: classical_mds(x["d"], 2), 2.5, id="classical-mds"),
+    # the geodesic matrix plus classical_mds's two
+    pytest.param(lambda x: isomap(x["d"], 10, 2), 3.5, id="isomap"),
 ]
 
 

@@ -67,6 +67,13 @@ def test_spec_validation():
         ("seed", 1.5),
         ("seed", -1),
         ("images_per_class", (1.7, 2.2)),
+        ("images_per_class", (1,)),
+        ("images_per_class", (1, 2, 3)),
+        ("images_per_class", 5),
+        ("noise_scale", "x"),
+        ("noise_scale", None),
+        ("group_weights", {"3a": "x"}),
+        ("group_weights", [("3a", 1.0)]),
     ):
         with pytest.raises(ValidationError, match=field):
             GeneratorSpec(**{field: value})
