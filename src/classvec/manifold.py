@@ -155,18 +155,18 @@ class EmbeddingCoordinates:
 def classical_mds(d: DistanceMatrix, k: int) -> EmbeddingCoordinates:
     """Torgerson scaling: embed distances into the top-k positive directions.
 
-    B = -1/2 * J * D^2 * J is double-centered, eigendecomposed, and the
-    eigenvectors of the k largest positive eigenvalues are scaled by sqrt of
-    their eigenvalue. Sign convention: each column's largest-magnitude
-    component is made positive (first index wins ties), so output is
-    deterministic. If fewer than k eigenvalues are positive, a warning is
-    issued and only the positive ones become columns.
+    B = -1/2 * J * D^2 * J is formed elementwise from the row means r of D^2
+    (its column means too), b_ij = -1/2 * (d_ij^2 - (r_i + r_j) + mean(r)),
+    and eigendecomposed; the eigenvectors of the k largest positive
+    eigenvalues are scaled by sqrt of their eigenvalue. Sign convention: each
+    column's largest-magnitude component is made positive (first index wins
+    ties), so output is deterministic. If fewer than k eigenvalues are
+    positive, a warning is issued and only the positive ones become columns.
 
-    B is formed elementwise from the row means r of D^2 (its column means
-    too, as D^2 is symmetric): b_ij = -1/2 * (d_ij^2 - (r_i + r_j) + mean(r)).
-    The only LAPACK/BLAS step is np.linalg.eigh, whose last bits depend on
-    the BLAS thread count and kernel, so the coordinates and eigenvalues are
-    bit-reproducible only on one host and BLAS build at a fixed thread count.
+    np.linalg.eigh is the only LAPACK/BLAS call behind the output. Its last
+    bits depend on the BLAS thread count and kernel, so the coordinates and
+    eigenvalues are bit-reproducible only per host and BLAS build, at a
+    fixed thread count.
     """
     k = whole("k", k)
     if k < 1:

@@ -110,6 +110,8 @@ class GeneratorSpec:
             if any(not 0 <= w < np.inf for w in weights.values()):
                 raise ValidationError("group_weights must be finite and non-negative")
             object.__setattr__(self, "group_weights", weights)
+        if self.manifest is not None and not isinstance(self.manifest, LayerManifest):
+            raise ValidationError(f"manifest must be a LayerManifest, got {self.manifest!r}")
         # the largest value a spec can draw: a signal entry of its heaviest group at
         # the top of the jitter, or a background entry; _quantize scales it by 1e4
         groups = self.manifest.groups if self.manifest is not None else DEFAULT_GROUPS

@@ -74,6 +74,7 @@ def test_spec_validation():
         ("noise_scale", None),
         ("group_weights", {"3a": "x"}),
         ("group_weights", [("3a", 1.0)]),
+        ("manifest", [("3a_1x1", "3a", 8)]),
     ):
         with pytest.raises(ValidationError, match=field):
             GeneratorSpec(**{field: value})
