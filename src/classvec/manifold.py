@@ -155,29 +155,33 @@ class EmbeddingCoordinates:
 def classical_mds(d: DistanceMatrix, k: int) -> EmbeddingCoordinates:
     """Torgerson scaling: embed distances into the top-k positive directions.
 
-    B = -1/2 * J * D^2 * J is formed elementwise from the row means r of D^2
-    (its column means too), b_ij = -1/2 * (d_ij^2 - (r_i + r_j) + mean(r)),
-    and eigendecomposed; the eigenvectors of the k largest positive
-    eigenvalues are scaled by sqrt of their eigenvalue. Sign convention: each
-    column's largest-magnitude component is made positive (first index wins
-    ties), so output is deterministic. If fewer than k eigenvalues are
-    positive, a warning is issued and only the positive ones become columns.
+    B = -1/2 * J * D^2 * J is double-centered, eigendecomposed, and the
+    eigenvectors of the k largest positive eigenvalues are scaled by sqrt of
+    their eigenvalue. Sign convention: each column's largest-magnitude
+    component is made positive (first index wins ties), so output is
+    deterministic. If fewer than k eigenvalues are positive, a warning is
+    issued and only the positive ones become columns.
 
-    np.linalg.eigh is the only LAPACK/BLAS call behind the output. Its last
-    bits depend on the BLAS thread count and kernel, so the coordinates and
-    eigenvalues are bit-reproducible only per host and BLAS build, at a
-    fixed thread count.
+    The centering matmuls run in BLAS and the eigendecomposition in LAPACK
+    through np.linalg.eigh. Their last bits depend on the BLAS thread count
+    and kernel, so the coordinates and eigenvalues are bit-reproducible only
+    per host and BLAS build, at a fixed thread count.
     """
     k = whole("k", k)
     if k < 1:
         raise ValidationError(f"embedding dimension k must be >= 1, got {k}")
-    b = d.values * d.values
-    r = b.mean(axis=1)
-    # D^2 is exactly symmetric and r_i + r_j rounds as r_j + r_i, so B is exactly
-    # symmetric; subtracting r[:, None] and r one after the other would not be
-    b -= r[:, None] + r
-    b += r.mean()
+    n = d.size
+    # the bits of np.eye(n) - np.full((n, n), 1.0 / n), built in one array
+    centering = np.full((n, n), -1.0 / n)
+    centering.flat[:: n + 1] = 1.0 - 1.0 / n
+    b = centering @ (d.values * d.values)
+    b = b @ centering
+    del centering
     b *= -0.5
+    for i in range(n):  # kill rounding asymmetry before eigh, a row at a time
+        row = (b[i, i:] + b[i:, i]) / 2.0
+        b[i, i:] = row
+        b[i:, i] = row
     eigvals, eigvecs = np.linalg.eigh(b)
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]

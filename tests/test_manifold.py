@@ -439,10 +439,10 @@ SQUARE_ARRAY_BOUNDS = [
     pytest.param(lambda x: knn_graph(x["d"], 10), 1.5, id="knn-graph"),
     # the filled matrix and DistanceMatrix's copy
     pytest.param(lambda x: geodesic_matrix(x["graph"]), 2.5, id="geodesic-matrix"),
-    # B and the r_i + r_j temporary subtracted from it
-    pytest.param(lambda x: classical_mds(x["d"], 2), 2.5, id="classical-mds"),
-    # the geodesic matrix plus classical_mds's two
-    pytest.param(lambda x: isomap(x["d"], 10, 2), 3.5, id="isomap"),
+    # centering, B and the product of the second matmul
+    pytest.param(lambda x: classical_mds(x["d"], 2), 3.5, id="classical-mds"),
+    # the geodesic matrix plus classical_mds's three
+    pytest.param(lambda x: isomap(x["d"], 10, 2), 4.5, id="isomap"),
 ]
 
 

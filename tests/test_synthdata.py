@@ -72,7 +72,10 @@ def test_spec_validation():
         ("images_per_class", 5),
         ("noise_scale", "x"),
         ("noise_scale", None),
+        ("noise_scale", "0.1"),
+        ("noise_scale", True),
         ("group_weights", {"3a": "x"}),
+        ("group_weights", {"3a": "0.5"}),
         ("group_weights", [("3a", 1.0)]),
         ("manifest", [("3a_1x1", "3a", 8)]),
     ):
@@ -91,6 +94,7 @@ def test_spec_validation():
         with pytest.raises(ValidationError, match="1e-4 grid"):
             GeneratorSpec(**kwargs)
     GeneratorSpec(group_weights={"zz": 1e308})  # no layer draws from group zz
+    assert type(GeneratorSpec(noise_scale=0).noise_scale) is int  # kept as given
 
 
 @pytest.mark.parametrize(
