@@ -15,11 +15,13 @@ def locked(arr):
 
 
 def whole(name: str, value) -> int:
-    """A count's value as an int; a float, even a whole one, is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    """A count's value as an int; a bool, or a float even when whole, is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def sha256_file(path) -> str:

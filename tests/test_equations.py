@@ -95,7 +95,7 @@ class TestNearestClasses:
         v = block_vector(m, "a1", [0])
         with pytest.raises(ValidationError, match="top_k must be >= 1"):
             nearest_classes(v, [emb("c0", v)], top_k=0)
-        for top_k in (2.9, 1.0, "x"):
+        for top_k in (2.9, 1.0, "x", True):
             with pytest.raises(ValidationError, match="top_k must be an integer"):
                 nearest_classes(v, [emb("c0", v)], top_k=top_k)
 

@@ -163,7 +163,7 @@ class TestClassicalMDS:
         d = DistanceMatrix(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValidationError, match="k must be >= 1"):
             classical_mds(d, 0)
-        for k in (2.7, 1.0, "x"):
+        for k in (2.7, 1.0, "x", True):
             with pytest.raises(ValidationError, match="k must be an integer"):
                 classical_mds(d, k)
 

@@ -66,6 +66,7 @@ def test_spec_validation():
         ("block_size", 1.5),
         ("seed", 1.5),
         ("seed", -1),
+        ("seed", True),
         ("images_per_class", (1.7, 2.2)),
         ("images_per_class", (1,)),
         ("images_per_class", (1, 2, 3)),
