@@ -8,7 +8,7 @@ preserves; distributions of per-class rho values summarize a whole run.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -76,63 +76,45 @@ def spearman_rho(x, y) -> float:
     return min(1.0, max(-1.0, rho))
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class RhoDistribution:
     """Per-class rho values for one (measure, corpus) setting."""
 
-    __slots__ = ("_measure", "_corpus", "_class_ids", "_rhos")
+    measure: str
+    corpus: str | None
+    class_ids: tuple[str, ...]
+    rhos: np.ndarray
 
-    def __init__(
-        self,
-        measure: str,
-        corpus: str | None,
-        class_ids: Sequence[str],
-        rhos,
-    ):
-        rhos = np.array(rhos, dtype=np.float64)
-        class_ids = tuple(str(c) for c in class_ids)
+    def __post_init__(self):
+        rhos = np.array(self.rhos, dtype=np.float64)
+        class_ids = tuple(str(c) for c in self.class_ids)
         if rhos.ndim != 1 or rhos.size != len(class_ids):
             raise ValidationError("one rho value per class_id required")
         if rhos.size == 0:
             raise ValidationError("distribution needs at least one class")
         if np.any(rhos < -1.0) or np.any(rhos > 1.0):
             raise ValidationError("rho values must lie in [-1, 1]")
-        self._measure = str(measure)
-        self._corpus = str(corpus) if corpus is not None else None
-        self._class_ids = class_ids
-        self._rhos = locked(rhos)
-
-    @property
-    def measure(self) -> str:
-        return self._measure
-
-    @property
-    def corpus(self) -> str | None:
-        return self._corpus
+        object.__setattr__(self, "measure", str(self.measure))
+        object.__setattr__(self, "corpus", str(self.corpus) if self.corpus is not None else None)
+        object.__setattr__(self, "class_ids", class_ids)
+        object.__setattr__(self, "rhos", locked(rhos))
 
     @property
     def label(self) -> str:
         """Setting name: the measure, suffixed with the corpus when IC-based."""
-        return self._measure if self._corpus is None else f"{self._measure}-{self._corpus}"
-
-    @property
-    def class_ids(self) -> tuple[str, ...]:
-        return self._class_ids
-
-    @property
-    def rhos(self) -> np.ndarray:
-        return self._rhos
+        return self.measure if self.corpus is None else f"{self.measure}-{self.corpus}"
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self._rhos))
+        return float(np.mean(self.rhos))
 
     def histogram(self) -> tuple[np.ndarray, np.ndarray]:
         """(edges, counts) with bin width 0.05 over [-1, 1]; counts sum to N."""
-        counts, edges = np.histogram(self._rhos, bins=HISTOGRAM_EDGES)
+        counts, edges = np.histogram(self.rhos, bins=HISTOGRAM_EDGES)
         return edges, counts
 
     def __len__(self) -> int:
-        return self._rhos.size
+        return self.rhos.size
 
     def __repr__(self) -> str:
         return f"RhoDistribution({self.label}, n={len(self)}, mean={self.mean:.4f})"
@@ -237,16 +219,14 @@ def evaluate_all(
     ]
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class SweepEntry:
     """Mean rho for one group restriction in a layer-subset sweep."""
 
-    __slots__ = ("label", "groups", "mean_rho", "n_classes")
-
-    def __init__(self, label: str, groups: tuple[str, ...] | None, mean_rho: float, n_classes: int):
-        self.label = label
-        self.groups = groups
-        self.mean_rho = mean_rho
-        self.n_classes = n_classes
+    label: str
+    groups: tuple[str, ...] | None
+    mean_rho: float
+    n_classes: int
 
     def __repr__(self) -> str:
         return f"SweepEntry({self.label}: mean_rho={self.mean_rho:.4f}, n={self.n_classes})"

@@ -8,6 +8,7 @@ with the equation's own operands excluded unless the caller disables that.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -22,19 +23,25 @@ from .vectors import SparseActivationVector, cosine_similarity, subtract
 DEFAULT_TOP_K = 6
 
 
+def _id_set(name: str, ids: Iterable[str]) -> set[str]:
+    """Class ids as a set of strings. A bare string is refused: read as an
+    iterable, "c0001" would name the classes "c", "0" and "1"."""
+    if isinstance(ids, str):
+        raise ValidationError(f"{name} must be a collection of class ids, not the string {ids!r}")
+    return {str(x) for x in ids}
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class EquationResult:
     """Ranked nearest classes for one query vector."""
 
-    __slots__ = ("_query", "_neighbors", "_excluded")
+    query: str
+    neighbors: tuple[tuple[str, float], ...]
+    excluded: tuple[str, ...]
 
-    def __init__(
-        self,
-        query: str,
-        neighbors: Sequence[tuple[str, float]],
-        excluded: Iterable[str],
-    ):
-        neighbors = tuple((str(c), float(s)) for c, s in neighbors)
-        excluded = tuple(sorted(set(str(x) for x in excluded)))
+    def __post_init__(self):
+        neighbors = tuple((str(c), float(s)) for c, s in self.neighbors)
+        excluded = tuple(sorted(_id_set("excluded", self.excluded)))
         for (_, s1), (_, s2) in zip(neighbors, neighbors[1:]):
             if s2 > s1:
                 raise ValidationError("neighbor similarities must be non-increasing")
@@ -42,28 +49,16 @@ class EquationResult:
         for cid, _ in neighbors:
             if cid in banned:
                 raise ValidationError(f"excluded class {cid!r} appears among neighbors")
-        self._query = str(query)
-        self._neighbors = neighbors
-        self._excluded = excluded
-
-    @property
-    def query(self) -> str:
-        return self._query
-
-    @property
-    def neighbors(self) -> tuple[tuple[str, float], ...]:
-        return self._neighbors
-
-    @property
-    def excluded(self) -> tuple[str, ...]:
-        return self._excluded
+        object.__setattr__(self, "query", str(self.query))
+        object.__setattr__(self, "neighbors", neighbors)
+        object.__setattr__(self, "excluded", excluded)
 
     def __len__(self) -> int:
-        return len(self._neighbors)
+        return len(self.neighbors)
 
     def __repr__(self) -> str:
-        head = ", ".join(f"{c}:{s:.3f}" for c, s in self._neighbors[:3])
-        return f"EquationResult({self._query!r} -> [{head}{'...' if len(self) > 3 else ''}])"
+        head = ", ".join(f"{c}:{s:.3f}" for c, s in self.neighbors[:3])
+        return f"EquationResult({self.query!r} -> [{head}{'...' if len(self) > 3 else ''}])"
 
 
 def _index_embeddings(embeddings: Sequence[ClassEmbedding]) -> dict[str, ClassEmbedding]:
@@ -103,7 +98,7 @@ def nearest_classes(
     if v.is_zero:
         raise EmptyDifferenceError("empty difference: operands are feature-wise dominated")
     index = _index_embeddings(embeddings)
-    banned = set(str(x) for x in exclude)
+    banned = _id_set("exclude", exclude)
     scored = [
         (cosine_similarity(v, emb.vector), cid)
         for cid, emb in index.items()

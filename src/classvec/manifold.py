@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -34,6 +35,7 @@ GEODESIC_BLOCK = 16
 GEODESIC_ROUNDS = 16
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class DistanceMatrix:
     """Dense symmetric matrix of non-negative distances with row labels.
 
@@ -42,11 +44,13 @@ class DistanceMatrix:
     so both triangles give the same bits.
     """
 
-    __slots__ = ("_labels", "_values", "_index")
+    labels: tuple[str, ...]
+    values: np.ndarray
+    _index: dict[str, int] = field(init=False, repr=False)
 
-    def __init__(self, labels: Sequence[str], values):
-        labels = tuple(str(x) for x in labels)
-        vals = np.array(values, dtype=np.float64, copy=True)
+    def __post_init__(self):
+        labels = tuple(str(x) for x in self.labels)
+        vals = np.array(self.values, dtype=np.float64, copy=True)
         n = len(labels)
         if len(set(labels)) != n:
             raise ValidationError("distance matrix labels must be unique")
@@ -68,21 +72,13 @@ class DistanceMatrix:
                 raise ValidationError(f"distance matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
             lower = np.tril_indices(n, -1)
             vals[lower] = vals.T[lower]
-        self._labels = labels
-        self._values = locked(vals)
-        self._index = {lab: i for i, lab in enumerate(labels)}
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", locked(vals))
+        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
 
     @property
     def size(self) -> int:
-        return len(self._labels)
+        return len(self.labels)
 
     def index_of(self, label: str) -> int:
         try:
@@ -91,17 +87,18 @@ class DistanceMatrix:
             raise ValidationError(f"unknown label {label!r}") from None
 
     def row(self, label: str) -> np.ndarray:
-        return self._values[self.index_of(label)]
+        return self.values[self.index_of(label)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistanceMatrix):
             return NotImplemented
-        return self._labels == other._labels and np.array_equal(self._values, other._values)
+        return self.labels == other.labels and np.array_equal(self.values, other.values)
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.size})"
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class EmbeddingCoordinates:
     """n x k coordinates plus the full descending eigenvalue spectrum.
 
@@ -109,12 +106,14 @@ class EmbeddingCoordinates:
     eigenvectors produced the coordinate columns.
     """
 
-    __slots__ = ("_labels", "_coords", "_eigenvalues")
+    labels: tuple[str, ...]
+    coords: np.ndarray
+    eigenvalues: np.ndarray
 
-    def __init__(self, labels: Sequence[str], coords, eigenvalues):
-        labels = tuple(str(x) for x in labels)
-        coords = np.array(coords, dtype=np.float64, copy=True)
-        eigenvalues = np.array(eigenvalues, dtype=np.float64, copy=True)
+    def __post_init__(self):
+        labels = tuple(str(x) for x in self.labels)
+        coords = np.array(self.coords, dtype=np.float64, copy=True)
+        eigenvalues = np.array(self.eigenvalues, dtype=np.float64, copy=True)
         if coords.ndim != 2 or coords.shape[0] != len(labels):
             raise ValidationError("coordinates must be n x k with one row per label")
         if coords.shape[1] > coords.shape[0]:
@@ -123,33 +122,21 @@ class EmbeddingCoordinates:
             raise ValidationError("eigenvalues must be a descending 1-D list")
         if np.any(eigenvalues[: coords.shape[1]] <= 0):
             raise ValidationError("eigenvalues backing coordinate columns must be positive")
-        self._labels = labels
-        self._coords = locked(coords)
-        self._eigenvalues = locked(eigenvalues)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._coords
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigenvalues
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "coords", locked(coords))
+        object.__setattr__(self, "eigenvalues", locked(eigenvalues))
 
     @property
     def dims(self) -> int:
-        return int(self._coords.shape[1])
+        return int(self.coords.shape[1])
 
     def pairwise_distances(self) -> np.ndarray:
         """Euclidean distances between embedded points (dense, symmetric)."""
-        diff = self._coords[:, None, :] - self._coords[None, :, :]
+        diff = self.coords[:, None, :] - self.coords[None, :, :]
         return np.sqrt(np.sum(diff * diff, axis=2))
 
     def __repr__(self) -> str:
-        return f"EmbeddingCoordinates(n={len(self._labels)}, dims={self.dims})"
+        return f"EmbeddingCoordinates(n={len(self.labels)}, dims={self.dims})"
 
 
 def classical_mds(d: DistanceMatrix, k: int) -> EmbeddingCoordinates:

@@ -21,6 +21,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .manifold import DistanceMatrix
+from .util import real, whole
 from .vectors import (
     LayerManifest,
     SparseActivationVector,
@@ -64,10 +65,7 @@ class PipelineConfig:
         if (self.norm_stage == "none") != (self.norm_scope == "none"):
             raise ValidationError("norm_scope must be 'none' exactly when norm_stage is 'none'")
         if self.threshold is not None:
-            try:
-                object.__setattr__(self, "threshold", float(self.threshold))
-            except (TypeError, ValueError):
-                raise ValidationError(f"threshold must be a number, got {self.threshold!r}") from None
+            object.__setattr__(self, "threshold", float(real("threshold", self.threshold)))
             if not 0 <= self.threshold < np.inf:
                 raise ValidationError(f"threshold must be finite and non-negative, got {self.threshold}")
         if self.groups is not None:
@@ -92,6 +90,8 @@ class ClassEmbedding:
     image_count: int
 
     def __post_init__(self):
+        count = whole(f"class {self.class_id!r}: image_count", self.image_count)
+        object.__setattr__(self, "image_count", count)
         if self.image_count < 1:
             raise ValidationError(
                 f"class {self.class_id!r}: image_count must be >= 1, got {self.image_count}"

@@ -40,7 +40,6 @@ that shapes the bytes, changes.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -49,7 +48,7 @@ import numpy as np
 
 from . import io as cvio
 from .errors import ValidationError
-from .util import whole
+from .util import real, whole
 from .vectors import LayerManifest, SparseActivationVector
 
 DEFAULT_GROUPS = ("3a", "3b", "4a", "4b", "4c", "4d", "4e", "5a", "5b")
@@ -59,13 +58,6 @@ RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 GENERATOR_VERSION = 2
 # Background entries per image x layer are drawn from 2..MAX_BACKGROUND.
 MAX_BACKGROUND = 5
-
-
-def _real(name: str, value):
-    """A real-number field's value as given; a string or a bool is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -100,14 +92,14 @@ class GeneratorSpec:
         object.__setattr__(self, "images_per_class", (lo, hi))
         if self.block_size < 1:
             raise ValidationError(f"block_size must be >= 1, got {self.block_size}")
-        if not 0 <= _real("noise_scale", self.noise_scale) < np.inf:
+        if not 0 <= real("noise_scale", self.noise_scale) < np.inf:
             raise ValidationError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.branching < 2:
             raise ValidationError(f"branching must be >= 2, got {self.branching}")
         if self.group_weights is not None:
             if not isinstance(self.group_weights, Mapping):
                 raise ValidationError(f"group_weights must be a mapping, got {self.group_weights!r}")
-            weights = {str(g): float(_real("group_weights", w)) for g, w in self.group_weights.items()}
+            weights = {str(g): float(real("group_weights", w)) for g, w in self.group_weights.items()}
             if any(not 0 <= w < np.inf for w in weights.values()):
                 raise ValidationError("group_weights must be finite and non-negative")
             object.__setattr__(self, "group_weights", weights)

@@ -31,7 +31,7 @@ class Taxonomy:
     deepest common subsumers are dictionary lookups.
     """
 
-    __slots__ = ("_parents", "_children", "_root", "_depth", "_updist", "_max_depth")
+    __slots__ = ("_parents", "_root", "_depth", "_updist", "_max_depth")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         parents: dict[str, set[str]] = {}
@@ -86,7 +86,6 @@ class Taxonomy:
             updist[node] = merged
 
         self._parents = {n: frozenset(parents.get(n, ())) for n in nodes}
-        self._children = {n: frozenset(children.get(n, ())) for n in nodes}
         self._root = root
         self._depth = depth
         self._updist = updist
@@ -118,9 +117,6 @@ class Taxonomy:
 
     def parents(self, synset: str) -> frozenset[str]:
         return self._parents[self._require(synset)]
-
-    def children(self, synset: str) -> frozenset[str]:
-        return self._children[self._require(synset)]
 
     def depth(self, synset: str) -> int:
         return self._depth[self._require(synset)]

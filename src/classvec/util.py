@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import numbers
 import operator
 
 from .errors import ValidationError
@@ -22,6 +23,13 @@ def whole(name: str, value) -> int:
         except TypeError:
             pass
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def real(name: str, value):
+    """A real setting's value as given; a string or a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def sha256_file(path) -> str:

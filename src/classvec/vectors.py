@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .util import locked
+from .util import locked, real
 
 
 class LayerSpec(NamedTuple):
@@ -486,7 +486,7 @@ def subtract(a: SparseActivationVector, b: SparseActivationVector) -> SparseActi
 
 def apply_threshold(v: SparseActivationVector, t: float) -> SparseActivationVector:
     """Drop entries with value strictly below t; t = 0 is the identity."""
-    t = float(t)
+    t = float(real("threshold", t))
     if not 0 <= t < np.inf:
         raise ValidationError(f"threshold must be finite and non-negative, got {t}")
     keep = v._values >= t

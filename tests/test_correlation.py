@@ -10,6 +10,7 @@ from classvec import correlation, taxonomy
 from classvec.correlation import (
     HISTOGRAM_EDGES,
     RhoDistribution,
+    SweepEntry,
     evaluate_all,
     evaluate_class,
     layer_subset_sweep,
@@ -17,7 +18,8 @@ from classvec.correlation import (
     spearman_rho,
 )
 from classvec.errors import CorrelationError, UnknownClassError, ValidationError
-from classvec.manifold import DistanceMatrix
+from classvec.equations import EquationResult
+from classvec.manifold import DistanceMatrix, EmbeddingCoordinates
 from classvec.pipeline import ClassEmbedding, PipelineConfig, build_distance_matrix
 from classvec.taxonomy import SIMILARITY_MEASURES, ICTable, Taxonomy
 from classvec.vectors import LayerManifest, SparseActivationVector
@@ -317,6 +319,38 @@ class TestRhoDistribution:
     def test_label_includes_corpus(self):
         assert RhoDistribution("res", "brown", ["a"], [0.5]).label == "res-brown"
         assert RhoDistribution("path", None, ["a"], [0.5]).label == "path"
+
+
+RECORDS = {
+    "DistanceMatrix": lambda: DistanceMatrix(["a", "b"], [[0.0, 1.0], [1.0, 0.0]]),
+    "EmbeddingCoordinates": lambda: EmbeddingCoordinates(["a", "b"], [[1.0], [-1.0]], [2.0, 0.0]),
+    "RhoDistribution": lambda: RhoDistribution("res", "brown", ["a", "b"], [0.5, -0.25]),
+    "EquationResult": lambda: EquationResult("a - b", [("c", 0.9), ("d", 0.5)], ["a", "b"]),
+    "SweepEntry": lambda: SweepEntry("mid", ("mid",), 0.75, 8),
+}
+FIELDS = {
+    "DistanceMatrix": ("labels", "values"),
+    "EmbeddingCoordinates": ("labels", "coords", "eigenvalues"),
+    "RhoDistribution": ("measure", "corpus", "class_ids", "rhos"),
+    "EquationResult": ("query", "neighbors", "excluded"),
+    "SweepEntry": ("label", "groups", "mean_rho", "n_classes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_result_records_are_immutable(name):
+    record = RECORDS[name]()
+    for field in FIELDS[name]:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = value[0]
+    if name == "DistanceMatrix":
+        assert record == RECORDS[name]() and record != DistanceMatrix(["a"], [[0.0]])
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
 
 
 def planted_records(rng, manifest):

@@ -35,6 +35,8 @@ class TestEquationResult:
             EquationResult("q", [("a", 0.5), ("b", 0.9)], [])
         with pytest.raises(ValidationError, match="excluded"):
             EquationResult("q", [("a", 0.5)], ["a"])
+        with pytest.raises(ValidationError, match="not the string 'ab'"):
+            EquationResult("q", [("c", 0.5)], "ab")  # not the classes "a" and "b"
 
     def test_fields(self):
         r = EquationResult("q", [("b", 0.9), ("a", 0.9)], ["z", "y"])
@@ -82,6 +84,12 @@ class TestNearestClasses:
         assert all(cid != "c0" for cid, _ in r.neighbors)
         r_all = nearest_classes(embs[0].vector, embs, top_k=100)
         assert len(r_all) == 6
+
+    def test_string_exclusion_rejected(self):
+        m = small_manifest()
+        embs = [emb(c, block_vector(m, "a1", [0])) for c in ("c", "c0001")]
+        with pytest.raises(ValidationError, match="exclude must be a collection of class ids, not the string 'c0001'"):
+            nearest_classes(embs[1].vector, embs, exclude="c0001")  # not the classes "c", "0" and "1"
 
     def test_zero_query_rejected(self):
         m = small_manifest()

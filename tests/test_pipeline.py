@@ -65,7 +65,9 @@ class TestPipelineConfig:
         with pytest.raises(ValidationError, match="not the string '4a'"):
             PipelineConfig(groups="4a")  # not the groups "4" and "a"
 
-    @pytest.mark.parametrize("threshold", ["abc", [0.5], {}], ids=["str", "list", "dict"])
+    @pytest.mark.parametrize(
+        "threshold", ["abc", "0.5", True, [0.5], {}], ids=["str", "numeric-str", "bool", "list", "dict"]
+    )
     def test_threshold_that_is_not_a_number_is_a_validation_error(self, threshold):
         with pytest.raises(ValidationError, match="threshold must be a number"):
             PipelineConfig(threshold=threshold)
@@ -73,6 +75,20 @@ class TestPipelineConfig:
     def test_none_norm_is_consistent(self):
         cfg = PipelineConfig(norm_stage="none", norm_scope="none")
         assert cfg.norm_stage == "none"
+
+
+class TestClassEmbedding:
+    @pytest.mark.parametrize("count", [True, 2.5, 2.0, "3"], ids=["bool", "fraction", "whole-float", "str"])
+    def test_image_count_that_is_not_an_integer_is_a_validation_error(self, count):
+        v = SparseActivationVector(small_manifest(), {})
+        with pytest.raises(ValidationError, match=r"class 'c0': image_count must be an integer, got"):
+            ClassEmbedding("c0", "s0", v, count)
+
+    def test_image_count_is_stored_as_an_int(self):
+        emb = ClassEmbedding("c0", "s0", SparseActivationVector(small_manifest(), {}), np.int64(3))
+        assert type(emb.image_count) is int and emb.image_count == 3
+        with pytest.raises(ValidationError, match=r"class 'c0': image_count must be >= 1, got 0"):
+            ClassEmbedding("c0", "s0", emb.vector, 0)
 
 
 class TestAggregate:

@@ -361,6 +361,12 @@ class TestOperations:
         with pytest.raises(ValidationError):
             apply_threshold(v, -0.1)
 
+    @pytest.mark.parametrize("t", ["0.5", True, None], ids=["str", "bool", "none"])
+    def test_threshold_that_is_not_a_number_rejected(self, t):
+        v = SparseActivationVector(small_manifest(), {"a1": ([0], [1.0])})
+        with pytest.raises(ValidationError, match="threshold must be a number"):
+            apply_threshold(v, t)
+
     def test_normalize_by_layer_unit_segments(self):
         rng = np.random.default_rng(37)
         m = small_manifest()
