@@ -99,6 +99,9 @@ class RhoDistribution:
         object.__setattr__(self, "class_ids", class_ids)
         object.__setattr__(self, "rhos", locked(rhos))
 
+    def __reduce__(self):
+        return RhoDistribution, (self.measure, self.corpus, self.class_ids, self.rhos)
+
     @property
     def label(self) -> str:
         """Setting name: the measure, suffixed with the corpus when IC-based."""

@@ -6,7 +6,11 @@ class ClassVecError(Exception):
 
 
 class ManifestError(ClassVecError):
-    """Invalid layer manifest (duplicate ids, bad dims, empty)."""
+    """Invalid layer manifest: no layers, or a layer that breaks the layer rule.
+
+    A layer id must be non-empty, hold no whitespace and appear once; a group
+    must hold no tab, LF or CR; a dim must be an integer >= 1.
+    """
 
 
 class ManifestMismatchError(ClassVecError):

@@ -22,11 +22,12 @@ Activations and class embeddings end in the same triplet field:
     triplets := "" | triplet (" " triplet)*
     triplet  := layer_id ":" index ":" value
 
-Layer ids are non-empty and hold no whitespace, but may hold ":"; a triplet
-splits at its last two colons. index is a Python int in [0, dim) of its
-layer, value a Python float that is finite and >= 0, and no (layer, index)
-repeats within a line. Triplets may come in any order; writers emit them in
-manifest order, indices ascending, zeros left out.
+Layer ids are non-empty and hold no whitespace, as LayerManifest enforces
+when it is built, but may hold ":"; a triplet splits at its last two colons.
+index is a Python int in [0, dim) of its layer, value a Python float that is
+finite and >= 0, and no (layer, index) repeats within a line. Triplets may
+come in any order; writers emit them in manifest order, indices ascending,
+zeros left out.
 
 Triplet fields are read by two paths. A batch of lines, up to _BATCH_TRIPLETS
 triplets in all (a longer line is a batch alone), goes to one call of NumPy's C
@@ -55,12 +56,12 @@ import numpy as np
 
 from .correlation import RhoDistribution
 from .equations import EquationResult
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ManifestError, ValidationError
 from .manifold import DistanceMatrix, EmbeddingCoordinates
 from .pipeline import ClassEmbedding
 from .taxonomy import Taxonomy
 from .util import locked
-from .vectors import LayerManifest, SparseActivationVector
+from .vectors import LayerManifest, SparseActivationVector, layer_spec
 
 
 class ActivationRecord(NamedTuple):
@@ -79,16 +80,6 @@ def _check_id(kind: str, value: str) -> str:
     if not value or any(c in value for c in "\t\n\r"):
         raise ValidationError(f"{kind} {value!r} is empty or contains tab/newline")
     return value
-
-
-def _is_layer_id(text: str) -> bool:
-    """Non-empty and free of whitespace, as the triplet grammar needs."""
-    return text.split() == [text]
-
-
-def _check_layer_id(layer_id: str) -> None:
-    if not _is_layer_id(layer_id):
-        raise ValidationError(f"layer_id {layer_id!r} is empty or contains whitespace")
 
 
 def _read_lines(path) -> Iterator[str]:
@@ -177,30 +168,24 @@ def _write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
 
 
 def load_manifest(path) -> LayerManifest:
-    """Parse layer_id TAB group TAB dim lines, keeping file order."""
-    layers = []
+    """Parse layer_id TAB group TAB dim lines, keeping file order; a line that
+    breaks vectors.layer_spec's rule is a FormatError at that line."""
+    layers = {}
     for lineno, (layer_id, group, dim_text) in _tsv_rows(
         path, 3, "expected 3 tab-separated fields, got {}"
     ):
-        if not _is_layer_id(layer_id):
-            raise FormatError(path, lineno, f"layer_id {layer_id!r} is empty or contains whitespace")
         try:
-            dim = int(dim_text)
+            layers[layer_id] = layer_spec(layer_id, group, int(dim_text), layers)
         except ValueError:
             raise FormatError(path, lineno, f"dim {dim_text!r} is not an integer") from None
-        if dim < 1:
-            raise FormatError(path, lineno, f"layer {layer_id!r} has non-positive dim {dim}")
-        if any(layer_id == seen for seen, _, _ in layers):
-            raise FormatError(path, lineno, f"duplicate layer_id {layer_id!r}")
-        layers.append((layer_id, group, dim))
+        except ManifestError as exc:
+            raise FormatError(path, lineno, str(exc)) from None
     if not layers:
         raise FormatError(path, 1, "manifest file is empty")
-    return LayerManifest(layers)
+    return LayerManifest(layers.values())
 
 
 def write_manifest(manifest: LayerManifest, path) -> None:
-    for spec in manifest:
-        _check_layer_id(spec.layer_id)
     _write_lines(path, (f"{spec.layer_id}\t{spec.group}\t{spec.dim}" for spec in manifest))
 
 
@@ -389,19 +374,15 @@ class _TripletMemo:
     starts afresh when a vector of another manifest comes. It is an object
     array with one slot per flattened index: the " layer_id:i:" head, made
     the first time a vector stores that index and never again, else None.
-    ``made`` marks the slots that hold a head. A layer's id is checked before
-    the first of its heads is made and, once it passes, never again
-    (``checked``); an id that is refused leaves every slot of the vector
-    unmarked, so the next vector that stores an entry there meets it again.
-    Once ``texts`` is full, values have shown that they seldom repeat (class
-    embeddings, for one), and the rest are formatted directly.
+    ``made`` marks the slots that hold a head. Once ``texts`` is full, values
+    have shown that they seldom repeat (class embeddings, for one), and the
+    rest are formatted directly.
     """
 
     def __init__(self):
         self.manifest: LayerManifest | None = None
         self.heads = np.empty(0, dtype=object)
         self.made = np.zeros(0, dtype=bool)
-        self.checked: set[int] = set()  # manifest positions of the layers whose id passed
         self.texts = _Texts()
 
     def heads_of(self, vector: SparseActivationVector) -> list[str]:
@@ -411,17 +392,12 @@ class _TripletMemo:
             self.manifest = manifest
             self.heads = np.empty(manifest.total_dim, dtype=object)
             self.made = np.zeros(manifest.total_dim, dtype=bool)
-            self.checked = set()
         keys = vector._keys
         missing = ~self.made[keys]
         if missing.any():
             new = keys[missing]
             positions = (np.searchsorted(manifest._starts, new, side="right") - 1).tolist()
             layer_ids, starts = manifest.layer_ids, manifest._starts.tolist()
-            # not np.unique, whose first call imports numpy.ma (about 6 MB of RSS)
-            for position in sorted(set(positions) - self.checked):
-                _check_layer_id(layer_ids[position])
-                self.checked.add(position)
             heads = [f" {layer_ids[p]}:{key - starts[p]}:" for key, p in zip(new.tolist(), positions)]
             self.heads[new] = np.array(heads, dtype=object)
             self.made[new] = True

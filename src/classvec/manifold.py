@@ -76,6 +76,10 @@ class DistanceMatrix:
         object.__setattr__(self, "values", locked(vals))
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the checks, which lock the copy's array again
+        return DistanceMatrix, (self.labels, self.values)
+
     @property
     def size(self) -> int:
         return len(self.labels)
@@ -125,6 +129,9 @@ class EmbeddingCoordinates:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "coords", locked(coords))
         object.__setattr__(self, "eigenvalues", locked(eigenvalues))
+
+    def __reduce__(self):
+        return EmbeddingCoordinates, (self.labels, self.coords, self.eigenvalues)
 
     @property
     def dims(self) -> int:
@@ -248,6 +255,9 @@ class NeighborGraph:
         graph = cls.__new__(cls)
         graph._assign(tuple(labels), indptr, indices, weights)
         return graph
+
+    def __reduce__(self):
+        return NeighborGraph._from_csr, (self._labels, self._indptr, self._indices, self._weights)
 
     def _assign(self, labels, indptr, indices, weights) -> None:
         self._labels = labels

@@ -98,11 +98,11 @@ class ClassEmbedding:
             )
 
 
-def _pack(vectors: Sequence[SparseActivationVector]):
+def _runs(vectors: Sequence[SparseActivationVector]):
     """Every stored entry sorted by (flattened index, row): the distinct keys, where each
-    key's run starts (then the end), and the entries' rows and values, each run in row
-    order. aggregate packs a class's images, build_distance_matrix the class vectors."""
-    nnz = [v.nnz for v in vectors]
+    key's run starts (then the end), each entry's place among the vectors' entries laid
+    end to end, and the entries' values, each run in row order. aggregate groups a
+    class's images by feature with it; _pack adds the rows."""
     keys = np.concatenate([v._keys for v in vectors])
     order = np.argsort(keys, kind="stable")  # stable: ties keep the row order of the concatenation
     keys = keys[order]
@@ -111,7 +111,15 @@ def _pack(vectors: Sequence[SparseActivationVector]):
     distinct = keys[start[:-1]]
     del keys  # freed before the values are sorted, to hold three entry-sized arrays at most
     values = np.concatenate([v._values for v in vectors])[order]
-    return distinct, start, np.searchsorted(np.cumsum(nnz), order, side="right"), values
+    return distinct, start, order, values
+
+
+def _pack(vectors: Sequence[SparseActivationVector]):
+    """_runs with each entry's row, the index of its vector, in place of its place:
+    build_distance_matrix packs the class vectors with it."""
+    distinct, start, order, values = _runs(vectors)
+    rows = np.searchsorted(np.cumsum([v.nnz for v in vectors]), order, side="right")
+    return distinct, start, rows, values
 
 
 def aggregate(images: Sequence[SparseActivationVector], mode: str) -> SparseActivationVector:
@@ -121,7 +129,7 @@ def aggregate(images: Sequence[SparseActivationVector], mode: str) -> SparseActi
     taken as exp(mean(log v))) and harmonic (n/sum(1/v)) are zero wherever
     any image lacks the feature, so their support is the intersection. A
     feature whose value is identical in every image keeps that exact value
-    under all three modes. The images are grouped by feature through _pack,
+    under all three modes. The images are grouped by feature through _runs,
     as build_distance_matrix groups class vectors, so each feature sums its
     values in the order of ``images``.
     """
@@ -139,7 +147,7 @@ def aggregate(images: Sequence[SparseActivationVector], mode: str) -> SparseActi
         return images[0]
 
     # each feature's run holds its values in image order, so it sums in that order
-    distinct, start, _, values = _pack(images)
+    distinct, start, _, values = _runs(images)
     k, first, counts = distinct.size, start[:-1], np.diff(start)
     run = np.repeat(np.arange(k), counts)
     lo, hi = np.minimum.reduceat(values, first), np.maximum.reduceat(values, first)

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .util import locked, real
+from .util import locked, real, whole
 
 
 class LayerSpec(NamedTuple):
@@ -36,41 +36,59 @@ class LayerSpec(NamedTuple):
     dim: int
 
 
+def layer_spec(layer_id, group, dim, seen) -> LayerSpec:
+    """A manifest's layer as a LayerSpec, or ManifestError: the id is a triplet token
+    (non-empty, no whitespace as str.split() reads it) not in ``seen``, the group
+    holds no TAB, LF or CR, and the dim is a count (util.whole) >= 1."""
+    layer_id, group = str(layer_id), str(group)
+    if layer_id.split() != [layer_id]:
+        raise ManifestError(f"layer_id {layer_id!r} is empty or contains whitespace")
+    if any(c in group for c in "\t\n\r"):
+        raise ManifestError(f"layer {layer_id!r}: group {group!r} contains tab/newline")
+    try:
+        dim = whole(f"layer {layer_id!r}: dim", dim)
+    except ValidationError as exc:
+        raise ManifestError(str(exc)) from None
+    if dim < 1:
+        raise ManifestError(f"layer {layer_id!r} has non-positive dim {dim}")
+    if layer_id in seen:
+        raise ManifestError(f"duplicate layer_id {layer_id!r}")
+    return LayerSpec(layer_id, group, dim)
+
+
 class LayerManifest:
     """Ordered layer structure shared by every vector that uses it.
 
-    Layer ids are unique, dims are >= 1, and each layer belongs to exactly
-    one group. The manifest fixes the coordinate system: the flattened index
-    of (layer, i) is offset_of(layer) + i.
+    Every layer keeps layer_spec's rule and belongs to exactly one group.
+    The manifest fixes the coordinate system: the flattened index of
+    (layer, i) is offset_of(layer) + i.
     """
 
     __slots__ = ("_layers", "_position", "_starts", "_total_dim", "_groups", "_digest")
 
     def __init__(self, layers: Iterable[tuple[str, str, int]]):
-        specs = tuple(LayerSpec(str(lid), str(grp), int(dim)) for lid, grp, dim in layers)
-        if not specs:
-            raise ManifestError("manifest must declare at least one layer")
-        position: dict[str, int] = {}
+        specs: dict[str, LayerSpec] = {}  # by id, in manifest order
         starts: list[int] = []
         total = 0
-        groups: list[str] = []
-        for pos, spec in enumerate(specs):
-            if spec.dim < 1:
-                raise ManifestError(f"layer {spec.layer_id!r} has non-positive dim {spec.dim}")
-            if spec.layer_id in position:
-                raise ManifestError(f"duplicate layer_id {spec.layer_id!r}")
-            position[spec.layer_id] = pos
+        for layer_id, group, dim in layers:
+            spec = layer_spec(layer_id, group, dim, specs)
+            specs[spec.layer_id] = spec
             starts.append(total)
             total += spec.dim
-            if spec.group not in groups:
-                groups.append(spec.group)
-        self._layers = specs
-        self._position = position
+        if not specs:
+            raise ManifestError("manifest must declare at least one layer")
+        self._layers = tuple(specs.values())
+        self._position = {layer_id: pos for pos, layer_id in enumerate(specs)}
         self._starts = locked(np.array(starts, dtype=np.int64))  # by manifest position
         self._total_dim = total
-        self._groups = tuple(groups)
-        payload = "\n".join(f"{s.layer_id}\t{s.group}\t{s.dim}" for s in specs)
+        self._groups = tuple(dict.fromkeys(spec.group for spec in self._layers))
+        payload = "\n".join(f"{s.layer_id}\t{s.group}\t{s.dim}" for s in self._layers)
         self._digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which locks the copy's
+        # _starts again: NumPy does not keep an array's read-only flag
+        return LayerManifest, (self._layers,)
 
     @property
     def layers(self) -> tuple[LayerSpec, ...]:
@@ -303,6 +321,9 @@ class SparseActivationVector:
         v._keys = locked(keys)
         v._values = locked(values)
         return v
+
+    def __reduce__(self):
+        return SparseActivationVector._trusted, (self.manifest, self._keys, self._values)
 
     @classmethod
     def _from_checked(

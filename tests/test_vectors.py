@@ -1,7 +1,9 @@
 """Vector core: construction, validation, and agreement with dense arithmetic."""
 
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -35,6 +37,8 @@ from classvec.vectors import (
     subtract,
 )
 
+from classvec.correlation import RhoDistribution
+from classvec.manifold import DistanceMatrix, EmbeddingCoordinates, NeighborGraph
 from classvec.pipeline import AGGREGATION_MODES, aggregate
 
 from helpers import (
@@ -86,6 +90,25 @@ class TestLayerManifest:
     def test_empty_rejected(self):
         with pytest.raises(ManifestError, match="at least one"):
             LayerManifest([])
+
+    @pytest.mark.parametrize(
+        "layer, message",
+        [
+            (("conv 1", "g", 4), "layer_id 'conv 1' is empty or contains whitespace"),
+            (("", "g", 4), "layer_id '' is empty or contains whitespace"),
+            (("a\u00a0b", "g", 4), "layer_id 'a\\xa0b' is empty or contains whitespace"),
+            (("x", "a\tb", 4), "layer 'x': group 'a\\tb' contains tab/newline"),
+            (("x", "x\ny", 4), "layer 'x': group 'x\\ny' contains tab/newline"),
+            (("x", "p\rq", 4), "layer 'x': group 'p\\rq' contains tab/newline"),
+            (("x", "g", 4.5), "layer 'x': dim must be an integer, got 4.5"),
+            (("x", "g", True), "layer 'x': dim must be an integer, got True"),
+            (("x", "g", "4"), "layer 'x': dim must be an integer, got '4'"),
+        ],
+    )
+    def test_layer_rule(self, layer, message):
+        with pytest.raises(ManifestError) as err:
+            LayerManifest([("ok", "g", 2), layer])
+        assert str(err.value) == message
 
     def test_equality_is_structural(self):
         m1 = small_manifest()
@@ -710,3 +733,42 @@ class TestEveryPathAgainstDense:
         groups = data.draw(st.sets(st.sampled_from(m.groups), min_size=1))
         keep = layer_mask(m, m.layers_in_groups(groups))
         assert np.array_equal(densify(restrict_to_groups(a, groups)), np.where(keep, da, 0.0))
+
+
+# -- pickle and deepcopy keep arrays locked -----------------------------------------
+
+
+def _locked_objects():
+    """(object, names of its read-only arrays) for each class that locks arrays."""
+    m = small_manifest()
+    return {
+        "DistanceMatrix": (DistanceMatrix(["a", "b"], [[0.0, 1.5], [1.5, 0.0]]), ["values"]),
+        "EmbeddingCoordinates": (
+            EmbeddingCoordinates(["a", "b"], [[1.0], [-1.0]], [2.0, 0.0]),
+            ["coords", "eigenvalues"],
+        ),
+        "RhoDistribution": (RhoDistribution("path", None, ["a", "b"], [0.5, -0.25]), ["rhos"]),
+        "NeighborGraph": (
+            NeighborGraph(["a", "b"], [[(1, 0.5)], [(0, 0.5)]]),
+            ["indptr", "indices", "weights"],
+        ),
+        "SparseActivationVector": (
+            SparseActivationVector(m, {"a2": ([1, 5], [0.5, 2.0]), "c1": ([0], [3.0])}),
+            ["_keys", "_values"],
+        ),
+        "LayerManifest": (m, ["_starts"]),
+    }
+
+
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+@pytest.mark.parametrize("kind", list(_locked_objects()))
+def test_copies_keep_arrays_read_only(kind, how):
+    obj, names = _locked_objects()[kind]
+    clone = pickle.loads(pickle.dumps(obj)) if how == "pickle" else copy.deepcopy(obj)
+    assert type(clone) is type(obj)
+    for name in names:
+        arr, want = getattr(clone, name), getattr(obj, name)
+        assert not arr.flags.writeable, name
+        assert arr.dtype == want.dtype and np.array_equal(arr, want), name
+        with pytest.raises(ValueError):
+            arr[...] = 0
