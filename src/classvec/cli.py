@@ -1,12 +1,13 @@
 """Command-line interface: the full pipeline as reproducible subcommands.
 
-Every subcommand records its resolved flags and input-file digests in
+Every subcommand records its resolved flags and the digests of its input
+files, the file arguments its subparser declares as ``inputs``, in
 ``run_manifest.json`` next to its outputs. ``rerun`` re-executes a recorded
-manifest into a fresh directory, once every recorded input still has its
-recorded digest; because all stages are deterministic, the outputs --
-manifest included -- come out byte-identical. Diagnostics go to
-stderr, data to files; the exit code is 0 only when no error occurred
-(2 for usage errors, 1 otherwise).
+manifest into a fresh directory once its inputs are exactly the files its
+arguments name, each with its recorded digest; because all stages are
+deterministic, the outputs -- manifest included -- come out byte-identical.
+Diagnostics go to stderr, data to files; the exit code is 0 only when no
+error occurred (2 for usage errors, 1 otherwise).
 """
 
 from __future__ import annotations
@@ -61,11 +62,24 @@ def _arguments_of(args) -> dict:
     command line (_command_line), so it must stay JSON-native.
     """
     return {
-        k: v for k, v in vars(args).items() if k not in ("func", "subcommand", "out")
+        k: v for k, v in vars(args).items() if k not in ("func", "inputs", "subcommand", "out")
     }
 
 
-def _write_run_manifest(out: Path, subcommand: str, args, inputs: dict) -> None:
+def _inputs_of(args) -> dict[str, str]:
+    """The run's input files by name: each declared file argument that was given,
+    and one ``<dest>:<stem>`` entry per file of a repeatable one (``--counts``)."""
+    inputs = {}
+    for dest in args.inputs:
+        value = getattr(args, dest)
+        if isinstance(value, list):
+            inputs.update((f"{dest}:{Path(path).stem}", path) for path in value)
+        elif value:
+            inputs[dest] = value
+    return inputs
+
+
+def _write_run_manifest(out: Path, args) -> None:
     """Record what ran: resolved flags, input digests, tool version.
 
     The output directory is deliberately omitted so a rerun into a different
@@ -74,15 +88,15 @@ def _write_run_manifest(out: Path, subcommand: str, args, inputs: dict) -> None:
     payload = {
         "tool": PROG,
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "arguments": _arguments_of(args),
         "inputs": {
-            name: {"path": str(path), "sha256": sha256_file(path)}
-            for name, path in sorted(inputs.items())
+            name: {"path": path, "sha256": sha256_file(path)}
+            for name, path in sorted(_inputs_of(args).items())
         },
     }
     path = out / RUN_MANIFEST_NAME
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    cvio._write_lines(path, json.dumps(payload, indent=2, sort_keys=True).split("\n"))
     _note(f"wrote {path}")
 
 
@@ -127,7 +141,7 @@ def cmd_generate(args) -> None:
     paths = generate(spec, out)
     for path in paths.values():
         _note(f"wrote {path}")
-    _write_run_manifest(out, "generate", args, {})
+    _write_run_manifest(out, args)
 
 
 # -- build --------------------------------------------------------------------
@@ -161,12 +175,7 @@ def cmd_build(args) -> None:
     _write(cvio.write_class_embeddings, embeddings, out / "class_embeddings.tsv")
     dmat = build_distance_matrix(embeddings, args.metric)
     _write(cvio.write_distance_matrix_csv, dmat, out / "distance_matrix.csv")
-    inputs = {
-        "activations": args.activations,
-        "manifest": args.manifest,
-        "class_map": args.class_map,
-    }
-    _write_run_manifest(out, "build", args, inputs)
+    _write_run_manifest(out, args)
 
 
 # -- eval ---------------------------------------------------------------------
@@ -199,13 +208,7 @@ def cmd_eval(args) -> None:
         _write(cvio.write_rho_csv, [dist], out / f"rho_{dist.label}.csv")
         _write(cvio.write_histogram_csv, dist, out / f"hist_{dist.label}.csv")
     _write(cvio.write_rho_summary_csv, distributions, out / "rho_summary.csv")
-
-    inputs = {"distances": args.distances, "taxonomy": args.taxonomy}
-    if args.class_map:
-        inputs["class_map"] = args.class_map
-    for stem, path in zip(stems, counts_paths):
-        inputs[f"counts:{stem}"] = path
-    _write_run_manifest(out, "eval", args, inputs)
+    _write_run_manifest(out, args)
 
 
 # -- mds / isomap ----------------------------------------------------------------
@@ -219,10 +222,7 @@ def _embed_common(args, coords, highlights) -> None:
     _write(cvio.write_eigenvalues_csv, coords, out / "eigenvalues.csv")
     if coords.dims == 2:
         _write(cvio.write_scatter_svg, coords, highlights, out / "scatter.svg")
-    inputs = {"distances": args.distances}
-    if args.highlight:
-        inputs["highlight"] = args.highlight
-    _write_run_manifest(out, args.subcommand, args, inputs)
+    _write_run_manifest(out, args)
 
 
 def _check_dims(args) -> None:
@@ -302,13 +302,9 @@ def cmd_solve(args) -> None:
     out = _out_dir(args)
     _write(cvio.write_equation_csv, result, out / "equation.csv")
     table_path = out / "equation.txt"
-    table_path.write_text(cvio.format_equation_table(result) + "\n", encoding="utf-8")
+    cvio._write_lines(table_path, cvio.format_equation_table(result).split("\n"))
     _note(f"wrote {table_path}")
-
-    inputs = {"embeddings": args.embeddings, "manifest": args.manifest}
-    if args.class_map:
-        inputs["class_map"] = args.class_map
-    _write_run_manifest(out, "solve", args, inputs)
+    _write_run_manifest(out, args)
 
 
 # -- rerun ------------------------------------------------------------------------
@@ -360,15 +356,16 @@ def cmd_rerun(args) -> None:
     except SystemExit:
         raise UsageError(f"{manifest_path} records arguments that {sub} refuses") from None
     replay.subcommand = sub
-    inputs = recorded.get("inputs", {})
-    if not isinstance(inputs, dict) or not all(
-        isinstance(e, dict) and isinstance(e.get("path"), str) for e in inputs.values()
-    ):
-        raise UsageError(f"{manifest_path}: recorded inputs are not path and sha256 objects")
-    for name, entry in inputs.items():
-        if sha256_file(entry["path"]) != entry.get("sha256"):
+    inputs, named = recorded.get("inputs", {}), _inputs_of(replay)
+    if not isinstance(inputs, dict) or named != {
+        name: entry.get("path") if isinstance(entry, dict) else None
+        for name, entry in inputs.items()
+    }:
+        raise UsageError(f"{manifest_path}: recorded inputs are not exactly the files its arguments name")
+    for name, path in sorted(named.items()):
+        if sha256_file(path) != inputs[name].get("sha256"):
             raise ValidationError(
-                f"input {name} {entry['path']} changed since the recorded run: "
+                f"input {name} {path} changed since the recorded run: "
                 "its SHA-256 no longer matches the run manifest"
             )
     _note(f"re-running {sub} into {args.out}")
@@ -397,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branching", type=int, default=4)
     p.add_argument("--group-weights", default=None,
                    help="per-group signal weights, e.g. 3a=0,4a=2.5")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, inputs=())
 
     p = sub.add_parser("build", help="aggregate images into class embeddings")
     p.add_argument("--activations", required=True)
@@ -410,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--metric", choices=DISTANCE_METRICS, default="cosine")
     p.add_argument("--groups", default=None, help="comma-separated layer groups")
-    p.set_defaults(func=cmd_build)
+    p.set_defaults(func=cmd_build, inputs=("activations", "manifest", "class_map"))
 
     p = sub.add_parser("eval", help="rank-correlate visual and lexical similarity")
     p.add_argument("--distances", required=True)
@@ -420,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=(*SIMILARITY_MEASURES, "all"), default="all")
     p.add_argument("--counts", action="append", default=None,
                    help="corpus counts file; repeatable, one corpus per file")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, inputs=("distances", "taxonomy", "class_map", "counts"))
 
     p = sub.add_parser("mds", help="classical MDS embedding of a distance matrix")
     p.add_argument("--distances", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dims", type=int, default=2)
     p.add_argument("--highlight", default=None, help="class ids to shade in the SVG")
-    p.set_defaults(func=cmd_mds)
+    p.set_defaults(func=cmd_mds, inputs=("distances", "highlight"))
 
     p = sub.add_parser("isomap", help="geodesic embedding over a k-NN graph")
     p.add_argument("--distances", required=True)
@@ -437,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--largest-component", action="store_true",
                    help="embed the largest component instead of failing")
     p.add_argument("--highlight", default=None, help="class ids to shade in the SVG")
-    p.set_defaults(func=cmd_isomap)
+    p.set_defaults(func=cmd_isomap, inputs=("distances", "highlight"))
 
     p = sub.add_parser("solve", help='rank classes near "A - B" or "C - (A - B)"')
     p.add_argument("expression")
@@ -448,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--include-operands", action="store_true",
                    help="let the operand classes appear among the neighbors")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, inputs=("embeddings", "manifest", "class_map"))
 
     p = sub.add_parser("rerun", help="re-execute a recorded run manifest")
     p.add_argument("manifest_file")

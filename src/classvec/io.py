@@ -146,7 +146,8 @@ def _csv_rows(path) -> Iterator:
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:
-    """Each line followed by LF, consumed one at a time."""
+    """Each line followed by LF, consumed one at a time. Every file the package
+    writes goes through here, JSON and the equation table included."""
     with _open_write(path) as fh:
         for line in lines:
             fh.write(line + "\n")
@@ -498,6 +499,8 @@ def write_taxonomy_edges(edges: Iterable[tuple[str, str]], path) -> None:
 def load_counts(path) -> dict[str, int]:
     counts: dict[str, int] = {}
     for lineno, (synset, count_text) in _tsv_rows(path, 2, "expected synset TAB count, got {} fields"):
+        if not synset:
+            raise FormatError(path, lineno, "empty synset id")
         try:
             count = int(count_text)
         except ValueError:

@@ -307,7 +307,5 @@ def generate(spec: GeneratorSpec, out_dir) -> dict[str, Path]:
         "n_taxonomy_nodes": n_nodes,
         "total_images": sum(image_counts.values()),
     }
-    paths["meta"].write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    cvio._write_lines(paths["meta"], json.dumps(meta, indent=2, sort_keys=True).split("\n"))
     return paths

@@ -29,6 +29,8 @@ from .errors import (
 )
 from .util import locked, real, whole
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class LayerSpec(NamedTuple):
     layer_id: str
@@ -59,7 +61,8 @@ def layer_spec(layer_id, group, dim, seen) -> LayerSpec:
 class LayerManifest:
     """Ordered layer structure shared by every vector that uses it.
 
-    Every layer keeps layer_spec's rule and belongs to exactly one group.
+    Every layer keeps layer_spec's rule and belongs to exactly one group, and
+    the dims sum to at most 2**63 - 1, so every flattened index is an int64.
     The manifest fixes the coordinate system: the flattened index of
     (layer, i) is offset_of(layer) + i.
     """
@@ -75,6 +78,10 @@ class LayerManifest:
             specs[spec.layer_id] = spec
             starts.append(total)
             total += spec.dim
+            if total > _INT64_MAX:
+                raise ManifestError(
+                    f"layer {spec.layer_id!r}: dims sum to {total}, past the int64 limit {_INT64_MAX}"
+                )
         if not specs:
             raise ManifestError("manifest must declare at least one layer")
         self._layers = tuple(specs.values())

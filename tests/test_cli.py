@@ -13,8 +13,10 @@ import pytest
 
 import classvec
 from classvec import DistanceMatrix
-from classvec.cli import RUN_MANIFEST_NAME, main
+from classvec import io as cvio
+from classvec.cli import RUN_MANIFEST_NAME, build_parser, main
 from classvec.io import write_distance_matrix_csv
+from classvec.util import sha256_file
 
 
 @pytest.fixture(scope="module")
@@ -541,7 +543,9 @@ def test_readme_library_quickstart_runs(tmp_path, monkeypatch, capsys):
     assert re.search(r"^mean Spearman rho vs path similarity: 0\.\d{3}$", capsys.readouterr().out, re.M)
 
 
-def test_rerun_refuses_an_input_changed_since_the_recorded_run(tmp_path, capsys):
+def _build_then_change_activations(tmp_path):
+    """A build run's output directory, and its activations file, changed since the run
+    after a copy of it was kept as copy.tsv."""
     data, built = tmp_path / "data", tmp_path / "built"
     assert main(["generate", "--out", str(data), "--seed", "3", "--classes", "6", "--images", "2", "3"]) == 0
     assert main([
@@ -549,13 +553,66 @@ def test_rerun_refuses_an_input_changed_since_the_recorded_run(tmp_path, capsys)
         "--class-map", str(data / "class_map.tsv"), "--out", str(built),
     ]) == 0
     activations = data / "activations.tsv"
+    (tmp_path / "copy.tsv").write_bytes(activations.read_bytes())
     activations.write_text(activations.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+    return built, activations
+
+
+def test_rerun_refuses_an_input_changed_since_the_recorded_run(tmp_path, capsys):
+    built, activations = _build_then_change_activations(tmp_path)
     capsys.readouterr()
     out = tmp_path / "again"
     assert main(["rerun", str(built / RUN_MANIFEST_NAME), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"classvec: error: input activations {activations} changed since the recorded run")
     assert not out.exists()
+
+
+def _redirect_to(copy):
+    return {"path": str(copy), "sha256": sha256_file(copy)}
+
+
+# edits of a build record that leave each recorded digest true of the file it names
+RECORD_EDITS = {
+    "dropped": lambda inputs, copy: inputs.pop("activations"),
+    "added": lambda inputs, copy: inputs.update(extra=_redirect_to(copy)),
+    "redirected": lambda inputs, copy: inputs.update(activations=_redirect_to(copy)),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(RECORD_EDITS))
+def test_rerun_refuses_inputs_that_are_not_the_files_its_arguments_name(tmp_path, capsys, edit):
+    built, _ = _build_then_change_activations(tmp_path)
+    recorded = json.loads((built / RUN_MANIFEST_NAME).read_text(encoding="utf-8"))
+    RECORD_EDITS[edit](recorded["inputs"], tmp_path / "copy.tsv")
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(recorded), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "again"
+    assert main(["rerun", str(edited), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"classvec: usage error: {edited}: recorded inputs are not exactly the files its arguments name\n"
+    assert not out.exists()
+
+
+# the file arguments each subcommand reads, each recorded with its digest
+FILE_ARGUMENTS = {
+    "generate": set(),
+    "build": {"activations", "manifest", "class_map"},
+    "eval": {"distances", "taxonomy", "class_map", "counts"},
+    "mds": {"distances", "highlight"},
+    "isomap": {"distances", "highlight"},
+    "solve": {"embeddings", "manifest", "class_map"},
+}
+
+
+def test_each_subcommand_declares_exactly_its_file_arguments_as_inputs():
+    parsers = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
+    declared = {name: p.get_default("inputs") for name, p in parsers.items() if name != "rerun"}
+    assert {name: set(inputs) for name, inputs in declared.items()} == FILE_ARGUMENTS
+    for name, inputs in declared.items():
+        assert len(inputs) == len(set(inputs)), name
+        assert set(inputs) <= {a.dest for a in parsers[name]._actions}, name
 
 
 def test_rerun_rejects_foreign_manifest(tmp_path, capsys):
@@ -668,6 +725,55 @@ def test_missing_input_is_a_data_error_and_creates_no_output_dir(
     err = capsys.readouterr().err
     assert err.startswith("classvec: error: ") and "nope.tsv" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest, layer, total", [
+    ("a\tg\t9223372036854775808\nb\tg\t1\n", "a", 2**63),
+    ("a\tg\t9223372036854775808\n", "a", 2**63),
+    ("a\tg\t9223372036854775807\nb\tg\t1\n", "b", 2**63),
+], ids=["first-of-two", "one-layer", "second-of-two"])
+def test_manifest_whose_dims_pass_int64_is_a_data_error(dataset, tmp_path, capsys, manifest, layer, total):
+    path = tmp_path / "manifest.tsv"
+    path.write_text(manifest, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([
+        "build", "--activations", str(dataset / "activations.tsv"), "--manifest", str(path),
+        "--class-map", str(dataset / "class_map.tsv"), "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"classvec: error: layer {layer!r}: dims sum to {total}, past the int64 limit {2**63 - 1}\n"
+    )
+    assert not out.exists()
+
+
+def test_every_output_file_is_written_through_one_path(tmp_path, monkeypatch):
+    written = []
+    write_lines = cvio._write_lines
+
+    def spy(path, lines):
+        written.append(Path(path))
+        write_lines(path, lines)
+
+    monkeypatch.setattr(cvio, "_write_lines", spy)
+    data, built = tmp_path / "data", tmp_path / "build"
+    distances = str(built / "distance_matrix.csv")
+    runs = {
+        "data": ["generate", "--seed", "5", "--classes", "8", "--images", "2", "3"],
+        "build": ["build", "--activations", str(data / "activations.tsv"),
+                  "--manifest", str(data / "manifest.tsv"), "--class-map", str(data / "class_map.tsv")],
+        "eval": ["eval", "--distances", distances, "--taxonomy", str(data / "taxonomy.tsv"),
+                 "--class-map", str(data / "class_map.tsv"), "--counts", str(data / "counts.tsv")],
+        "mds": ["mds", "--distances", distances],
+        "isomap": ["isomap", "--distances", distances, "--k-neighbors", "4"],
+        "solve": ["solve", "c0001 - c0002", "--embeddings", str(built / "class_embeddings.tsv"),
+                  "--manifest", str(data / "manifest.tsv")],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert {"dataset_meta.json", "equation.txt", "scatter.svg", RUN_MANIFEST_NAME} <= {p.name for p in files}
+    assert sorted(written) == files
 
 
 def test_activations_byte_that_is_not_utf8_is_a_format_error(dataset, tmp_path, capsys):

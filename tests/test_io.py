@@ -880,6 +880,9 @@ def test_counts_round_trip_and_errors(tmp_path):
         cvio.load_counts(write(tmp_path / "txt.tsv", "a\tmany\n"))
     with pytest.raises(FormatError, match="empty"):
         cvio.load_counts(write(tmp_path / "empty.tsv", ""))
+    with pytest.raises(FormatError, match="empty synset id") as err:
+        cvio.load_counts(write(tmp_path / "blank.tsv", "a\t3\n\t7\n"))
+    assert err.value.line == 2
 
 
 # -- class map -------------------------------------------------------------------

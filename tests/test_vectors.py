@@ -103,12 +103,18 @@ class TestLayerManifest:
             (("x", "g", 4.5), "layer 'x': dim must be an integer, got 4.5"),
             (("x", "g", True), "layer 'x': dim must be an integer, got True"),
             (("x", "g", "4"), "layer 'x': dim must be an integer, got '4'"),
+            (("x", "g", 2**63 - 2),
+             "layer 'x': dims sum to 9223372036854775808, past the int64 limit 9223372036854775807"),
         ],
     )
     def test_layer_rule(self, layer, message):
         with pytest.raises(ManifestError) as err:
             LayerManifest([("ok", "g", 2), layer])
         assert str(err.value) == message
+
+    def test_dims_may_sum_to_the_int64_limit(self):
+        m = LayerManifest([("ok", "g", 2), ("x", "g", 2**63 - 3)])
+        assert m.total_dim == 2**63 - 1 and m.offset_of("x") == 2
 
     def test_equality_is_structural(self):
         m1 = small_manifest()
